@@ -972,63 +972,151 @@ Status QueryProcessor::VerifyCandidates(
   return Status::OK();
 }
 
-Result<ContinuationProposal> QueryProcessor::VerifyCandidate(
-    const Pattern& pattern, const std::vector<PatternMatch>& base_matches,
-    ActivityId candidate, const ContinuationConstraints& constraints) const {
-  SEQDET_ASSIGN_OR_RETURN(
-      auto postings,
-      index_->GetPairPostingsShared(
-          EventTypePair{pattern.activities.back(), candidate}));
-  // base_matches is reused for every candidate, so it is copied (by the
-  // by-value parameter) rather than moved into the join.
-  SEQDET_ASSIGN_OR_RETURN(std::vector<PatternMatch> extended,
-                          ExtendMatches(base_matches, *postings));
+namespace {
 
-  ContinuationProposal proposal;
-  proposal.activity = candidate;
-  int64_t total_gap = 0;
-  for (const PatternMatch& match : extended) {
-    Timestamp gap = match.timestamps[match.timestamps.size() - 1] -
-                    match.timestamps[match.timestamps.size() - 2];
-    if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-      continue;  // line 7: time constraint
-    }
-    ++proposal.total_completions;
-    total_gap += gap;
+/// One distinct (trace, last timestamp) end key of the base pattern's
+/// matches, with the number of matches ending there. Under SC/STNM every
+/// key is unique; under STAM overlapping matches can share their last event
+/// and each of them is extended separately, so the key counts that often.
+struct EndKey {
+  TraceId trace;
+  Timestamp ts;
+  uint64_t multiplicity;
+};
+
+/// The base matches' end keys, sorted by (trace, ts) — the order of the
+/// candidates' posting snapshots — with equal keys collapsed.
+std::vector<EndKey> BaseEndKeys(const std::vector<PatternMatch>& matches) {
+  std::vector<EndKey> keys;
+  keys.reserve(matches.size());
+  for (const PatternMatch& m : matches) {
+    keys.push_back(EndKey{m.trace, m.timestamps.back(), 1});
   }
-  proposal.sum_duration = total_gap;
-  proposal.average_duration =
-      proposal.total_completions == 0
-          ? 0.0
-          : static_cast<double>(total_gap) /
-                static_cast<double>(proposal.total_completions);
-  return proposal;
+  auto key_less = [](const EndKey& a, const EndKey& b) {
+    return a.trace < b.trace || (a.trace == b.trace && a.ts < b.ts);
+  };
+  if (!std::is_sorted(keys.begin(), keys.end(), key_less)) {
+    std::sort(keys.begin(), keys.end(), key_less);
+  }
+  size_t out = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (out > 0 && keys[out - 1].trace == keys[i].trace &&
+        keys[out - 1].ts == keys[i].ts) {
+      ++keys[out - 1].multiplicity;
+    } else {
+      keys[out++] = keys[i];
+    }
+  }
+  keys.resize(out);
+  return keys;
 }
 
-Result<ContinuationProposal> QueryProcessor::VerifySingleEventCandidate(
-    ActivityId base, ActivityId candidate,
-    const ContinuationConstraints& constraints) const {
-  SEQDET_ASSIGN_OR_RETURN(
-      auto postings,
-      index_->GetPairPostingsShared(EventTypePair{base, candidate}));
-  ContinuationProposal proposal;
-  proposal.activity = candidate;
-  int64_t total_gap = 0;
-  for (const PairOccurrence& posting : *postings) {
-    Timestamp gap = posting.ts_second - posting.ts_first;
-    if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-      continue;
-    }
-    ++proposal.total_completions;
-    total_gap += gap;
+/// Algorithm 3 lines 6-8 for one candidate: the completions and the integer
+/// gap sum under the optional max_gap (line 7).
+struct CompletionTally {
+  uint64_t completions = 0;
+  int64_t sum_gap = 0;
+
+  void Add(Timestamp gap, uint64_t times,
+           const std::optional<Timestamp>& max_gap) {
+    if (max_gap.has_value() && gap > *max_gap) return;
+    completions += times;
+    sum_gap += static_cast<int64_t>(times) * gap;
   }
-  proposal.sum_duration = total_gap;
-  proposal.average_duration =
-      proposal.total_completions == 0
-          ? 0.0
-          : static_cast<double>(total_gap) /
-                static_cast<double>(proposal.total_completions);
-  return proposal;
+
+  ContinuationProposal ToProposal(ActivityId activity) const {
+    ContinuationProposal proposal;
+    proposal.activity = activity;
+    proposal.total_completions = completions;
+    proposal.sum_duration = sum_gap;
+    proposal.average_duration =
+        completions == 0 ? 0.0
+                         : static_cast<double>(sum_gap) /
+                               static_cast<double>(completions);
+    return proposal;
+  }
+};
+
+/// Count-only verification of one candidate: walks the base end keys
+/// against the (last, candidate) postings — sorted by (trace, ts_first) —
+/// in one forward pass. Every posting whose first event is a base match's
+/// last event extends each of the key's `multiplicity` matches by its
+/// second event, which is exactly the set of rows the pair join would
+/// materialize; here each only adds to the tally. The cursor advances by
+/// linear scan, or by binary search when the keys are far fewer than the
+/// postings (the ExtendMatchRange rule). Allocates nothing.
+Status CountCompletions(const std::vector<EndKey>& keys,
+                        const std::vector<PairOccurrence>& postings,
+                        const ContinuationConstraints& constraints,
+                        CompletionTally* tally) {
+  const PairOccurrence* p = postings.data();
+  const PairOccurrence* const end = p + postings.size();
+  const bool probe_sorted =
+      keys.size() < postings.size() / 8 || postings.size() < 16;
+  size_t ticks = 0;
+  for (const EndKey& key : keys) {
+    if (++ticks % kDeadlineStride == 0 && constraints.deadline.Expired()) {
+      return DeadlineExceeded();
+    }
+    const PairOccurrence probe{key.trace, key.ts,
+                               std::numeric_limits<Timestamp>::min()};
+    if (probe_sorted) {
+      p = std::lower_bound(p, end, probe);
+    } else {
+      while (p != end && *p < probe) ++p;
+    }
+    for (; p != end && p->trace == key.trace && p->ts_first == key.ts; ++p) {
+      tally->Add(p->ts_second - key.ts, key.multiplicity, constraints.max_gap);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<ContinuationProposal>> QueryProcessor::VerifyContinuations(
+    const Pattern& pattern, const std::vector<ActivityId>& candidates,
+    const ContinuationConstraints& constraints) const {
+  const ActivityId last = pattern.activities.back();
+  // Detect the base pattern once; each candidate only counts one more pair
+  // (§5.4.2: continuation is incremental, the base is not re-queried).
+  std::vector<EndKey> keys;
+  if (pattern.size() >= 2) {
+    DetectionConstraints base;
+    base.deadline = constraints.deadline;
+    SEQDET_ASSIGN_OR_RETURN(auto base_matches, Detect(pattern, base));
+    keys = BaseEndKeys(base_matches);
+  }
+
+  std::vector<ContinuationProposal> proposals;
+  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
+      candidates.size(),
+      [&](size_t i) -> Result<ContinuationProposal> {
+        CompletionTally tally;
+        // No base match to extend: the candidate scores zero, unfetched.
+        if (pattern.size() >= 2 && keys.empty()) {
+          return tally.ToProposal(candidates[i]);
+        }
+        if (constraints.deadline.Expired()) return DeadlineExceeded();
+        SEQDET_ASSIGN_OR_RETURN(
+            auto postings,
+            index_->GetPairPostingsShared(EventTypePair{last, candidates[i]}));
+        if (pattern.size() == 1) {
+          // A single-event base: the pair's postings are themselves the
+          // completions.
+          for (const PairOccurrence& posting : *postings) {
+            tally.Add(posting.ts_second - posting.ts_first, 1,
+                      constraints.max_gap);
+          }
+        } else {
+          SEQDET_RETURN_IF_ERROR(
+              CountCompletions(keys, *postings, constraints, &tally));
+        }
+        return tally.ToProposal(candidates[i]);
+      },
+      &proposals));
+  RankProposals(&proposals);
+  return proposals;
 }
 
 Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurate(
@@ -1038,29 +1126,13 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurate(
   }
   // Line 2: candidate continuations from the Count table.
   SEQDET_ASSIGN_OR_RETURN(
-      auto candidates, index_->GetFollowerStats(pattern.activities.back()));
-
-  // Detect the base pattern once; each candidate only joins one more pair
-  // (§5.4.2: continuation is incremental, the base is not re-queried).
-  std::vector<PatternMatch> base_matches;
-  if (pattern.size() >= 2) {
-    SEQDET_ASSIGN_OR_RETURN(base_matches, Detect(pattern));
+      auto followers, index_->GetFollowerStats(pattern.activities.back()));
+  std::vector<ActivityId> candidates;
+  candidates.reserve(followers.size());
+  for (const PairCountStats& follower : followers) {
+    candidates.push_back(follower.other);
   }
-
-  std::vector<ContinuationProposal> proposals;
-  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
-      candidates.size(),
-      [&](size_t i) -> Result<ContinuationProposal> {
-        if (pattern.size() == 1) {
-          return VerifySingleEventCandidate(pattern.activities.back(),
-                                            candidates[i].other, constraints);
-        }
-        return VerifyCandidate(pattern, base_matches, candidates[i].other,
-                               constraints);
-      },
-      &proposals));
-  RankProposals(&proposals);
-  return proposals;
+  return VerifyContinuations(pattern, candidates, constraints);
 }
 
 Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurateNaive(
@@ -1070,6 +1142,8 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurateNaive(
   }
   SEQDET_ASSIGN_OR_RETURN(
       auto candidates, index_->GetFollowerStats(pattern.activities.back()));
+  DetectionConstraints detect;
+  detect.deadline = constraints.deadline;
   std::vector<ContinuationProposal> proposals;
   proposals.reserve(candidates.size());
   for (const PairCountStats& candidate : candidates) {
@@ -1080,7 +1154,7 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurateNaive(
       proposals.push_back(proposal);
       continue;
     }
-    SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(extended));
+    SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(extended, detect));
     int64_t total_gap = 0;
     for (const PatternMatch& match : matches) {
       Timestamp gap = match.timestamps[match.timestamps.size() - 1] -
@@ -1224,6 +1298,8 @@ QueryProcessor::ContinueInsertAccurate(
   }
   SEQDET_ASSIGN_OR_RETURN(auto candidates,
                           ContinueInsertFast(pattern, gap_index));
+  DetectionConstraints detect;
+  detect.deadline = constraints.deadline;
   std::vector<ContinuationProposal> proposals;
   SEQDET_RETURN_IF_ERROR(VerifyCandidates(
       candidates.size(),
@@ -1231,10 +1307,8 @@ QueryProcessor::ContinueInsertAccurate(
         const ContinuationProposal& candidate = candidates[i];
         Pattern spliced = Spliced(pattern, gap_index, candidate.activity);
         if (spliced.size() < 2) return candidate;
-        ContinuationProposal proposal;
-        proposal.activity = candidate.activity;
-        SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(spliced));
-        int64_t total_gap = 0;
+        SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(spliced, detect));
+        CompletionTally tally;
         for (const PatternMatch& match : matches) {
           // Duration of the detour through the inserted event.
           size_t at = gap_index;  // index of the inserted event in the match
@@ -1244,19 +1318,9 @@ QueryProcessor::ContinueInsertAccurate(
                         (at > 0 ? match.timestamps[at - 1]
                                 : match.timestamps[at])
                   : match.timestamps[at] - match.timestamps[at - 1];
-          if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-            continue;
-          }
-          ++proposal.total_completions;
-          total_gap += gap;
+          tally.Add(gap, 1, constraints.max_gap);
         }
-        proposal.sum_duration = total_gap;
-        proposal.average_duration =
-            proposal.total_completions == 0
-                ? 0.0
-                : static_cast<double>(total_gap) /
-                      static_cast<double>(proposal.total_completions);
-        return proposal;
+        return tally.ToProposal(candidate.activity);
       },
       &proposals));
   RankProposals(&proposals);
@@ -1270,29 +1334,15 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueHybrid(
   SEQDET_ASSIGN_OR_RETURN(auto fast, ContinueFast(pattern));
   if (top_k == 0) return fast;
 
-  // Line 4: Accurate verification of the topK candidates only.
-  std::vector<PatternMatch> base_matches;
-  if (pattern.size() >= 2) {
-    SEQDET_ASSIGN_OR_RETURN(base_matches, Detect(pattern));
-  }
-  std::vector<ContinuationProposal> proposals;
-  size_t limit = std::min(top_k, fast.size());
-  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
-      limit,
-      [&](size_t i) -> Result<ContinuationProposal> {
-        if (pattern.size() == 1) {
-          return VerifySingleEventCandidate(pattern.activities.back(),
-                                            fast[i].activity, constraints);
-        }
-        return VerifyCandidate(pattern, base_matches, fast[i].activity,
-                               constraints);
-      },
-      &proposals));
-  // Line 5: only the verified topK are returned, re-ranked by their
-  // accurate scores. (Mixing the unverified Fast tail back in would let
-  // its optimistic upper-bound counts outrank verified candidates.)
-  RankProposals(&proposals);
-  return proposals;
+  // Line 4: Accurate verification of the topK candidates only. Line 5:
+  // only the verified candidates are returned, re-ranked by their accurate
+  // scores. (Mixing the unverified Fast tail back in would let its
+  // optimistic upper-bound counts outrank verified candidates.)
+  std::vector<ActivityId> candidates;
+  const size_t limit = std::min(top_k, fast.size());
+  candidates.reserve(limit);
+  for (size_t i = 0; i < limit; ++i) candidates.push_back(fast[i].activity);
+  return VerifyContinuations(pattern, candidates, constraints);
 }
 
 }  // namespace seqdet::query

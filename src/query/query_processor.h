@@ -87,11 +87,15 @@ struct ContinuationProposal {
   int64_t sum_duration = 0;
 };
 
-/// Optional constraint for the Accurate continuation (Algorithm 3 line 7):
-/// only count completions whose gap between ev_p and the appended event is
-/// at most `max_gap`.
+/// Optional constraints for the accurate continuations. `max_gap` is
+/// Algorithm 3 line 7: only count completions whose gap between ev_p and the
+/// appended event is at most `max_gap`.
 struct ContinuationConstraints {
   std::optional<eventlog::Timestamp> max_gap;
+  /// Cooperative cancellation budget, as in DetectionConstraints: the base
+  /// detection and the per-candidate verification poll it and return
+  /// Status::Aborted once expired. Default: never expires.
+  Deadline deadline;
 };
 
 /// Tuning knobs of the morsel-driven intra-query execution engine (used
@@ -166,7 +170,10 @@ class QueryProcessor {
       const DetectionConstraints& constraints = {}) const;
 
   /// Accurate continuation (Algorithm 3): every candidate continuation is
-  /// verified with a full detection of the extended pattern.
+  /// verified against the base pattern's matches. The base is detected
+  /// once; each candidate is then scored by one count-only merge of the
+  /// base matches' (trace, last timestamp) keys with the candidate pair's
+  /// postings — no extended match is materialized (DESIGN.md §13).
   Result<std::vector<ContinuationProposal>> ContinueAccurate(
       const Pattern& pattern,
       const ContinuationConstraints& constraints = {}) const;
@@ -174,8 +181,9 @@ class QueryProcessor {
   /// Algorithm 3 exactly as printed: getCompletions(tempPattern) re-runs
   /// the full detection for every candidate, so the cost is
   /// |candidates| x Detect(p+1). ContinueAccurate computes the base
-  /// matches once and joins each candidate's single extra pair instead —
-  /// same results, and the ablation bench quantifies the gap.
+  /// matches once and only counts each candidate's single extra pair
+  /// against them — same results, and the ablation bench quantifies the
+  /// gap. Kept as the reference the differential tests compare against.
   Result<std::vector<ContinuationProposal>> ContinueAccurateNaive(
       const Pattern& pattern,
       const ContinuationConstraints& constraints = {}) const;
@@ -267,18 +275,15 @@ class QueryProcessor {
       const std::function<Result<ContinuationProposal>(size_t)>& verify,
       std::vector<ContinuationProposal>* proposals) const;
 
-  /// Accurate verification of a single candidate given the precomputed
-  /// base-pattern matches (the "incremental" advantage of §5.4.2: the base
-  /// pattern is not re-detected per candidate).
-  Result<ContinuationProposal> VerifyCandidate(
-      const Pattern& pattern, const std::vector<PatternMatch>& base_matches,
-      eventlog::ActivityId candidate,
-      const ContinuationConstraints& constraints) const;
-
-  /// Accurate verification for a single-event base pattern: the postings of
-  /// (base, candidate) are themselves the completions.
-  Result<ContinuationProposal> VerifySingleEventCandidate(
-      eventlog::ActivityId base, eventlog::ActivityId candidate,
+  /// Algorithm 3 lines 3-9 for the given candidates of `pattern`, ranked:
+  /// the shared verification step of ContinueAccurate and ContinueHybrid.
+  /// Detects the base pattern once (the "incremental" advantage of §5.4.2)
+  /// and scores every candidate with a count-only merge over the base
+  /// matches' end keys; an empty base scores every candidate zero without
+  /// fetching its postings.
+  Result<std::vector<ContinuationProposal>> VerifyContinuations(
+      const Pattern& pattern,
+      const std::vector<eventlog::ActivityId>& candidates,
       const ContinuationConstraints& constraints) const;
 
   const index::SequenceIndex* index_;

@@ -188,8 +188,8 @@ void QueryService::RegisterRoutes(HttpServer* server) {
   });
   server->Route("/continue", [this](const HttpRequest& r) {
     return Dispatch(&continue_stats_, /*gated=*/true, r,
-                    [this](const HttpRequest& rq, const Deadline&) {
-                      return HandleContinue(rq);
+                    [this](const HttpRequest& rq, const Deadline& deadline) {
+                      return HandleContinue(rq, deadline);
                     });
   });
   if (options_.debug_routes) {
@@ -510,7 +510,8 @@ HttpResponse QueryService::HandleStats(const HttpRequest& request) const {
       rows, stats->completions_upper_bound, stats->estimated_duration));
 }
 
-HttpResponse QueryService::HandleContinue(const HttpRequest& request) const {
+HttpResponse QueryService::HandleContinue(const HttpRequest& request,
+                                          const Deadline& deadline) const {
   auto q = request.query.find("q");
   if (q == request.query.end()) {
     return HttpResponse::Error(400, "missing q parameter");
@@ -523,11 +524,13 @@ HttpResponse QueryService::HandleContinue(const HttpRequest& request) const {
   if (auto it = request.query.find("mode"); it != request.query.end()) {
     mode = it->second;
   }
+  query::ContinuationConstraints constraints;
+  constraints.deadline = deadline;
   const auto& dict = index_->dictionary();
   if (request.query.count("raw") > 0) {
     // Shard-internal form for the router's merge (see HandleStats).
     if (mode == "accurate") {
-      auto proposals = qp_.ContinueAccurate(parsed->pattern);
+      auto proposals = qp_.ContinueAccurate(parsed->pattern, constraints);
       if (!proposals.ok()) return QueryError(proposals.status());
       JsonWriter json;
       json.BeginObject().Key("proposals").BeginArray();
@@ -586,7 +589,7 @@ HttpResponse QueryService::HandleContinue(const HttpRequest& request) const {
   Result<std::vector<query::ContinuationProposal>> proposals =
       Status::Internal("unset");
   if (mode == "accurate") {
-    proposals = qp_.ContinueAccurate(parsed->pattern);
+    proposals = qp_.ContinueAccurate(parsed->pattern, constraints);
   } else if (mode == "fast") {
     proposals = qp_.ContinueFast(parsed->pattern);
   } else if (mode == "hybrid") {
@@ -597,7 +600,7 @@ HttpResponse QueryService::HandleContinue(const HttpRequest& request) const {
         topk = static_cast<size_t>(v);
       }
     }
-    proposals = qp_.ContinueHybrid(parsed->pattern, topk);
+    proposals = qp_.ContinueHybrid(parsed->pattern, topk, constraints);
   } else {
     return HttpResponse::Error(400, "unknown mode: " + mode);
   }

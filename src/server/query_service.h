@@ -70,8 +70,8 @@ struct ServingStatsSnapshot {
 /// SequenceIndex, with an admission-control front end — a bounded
 /// in-flight budget that sheds overload with 503 + Retry-After, and
 /// per-request deadline budgets that cooperatively cancel long joins in
-/// QueryProcessor::Detect (the request returns 504 within roughly one
-/// posting-scan chunk of the budget).
+/// QueryProcessor::Detect and long continuation verifications (the request
+/// returns 504 within roughly one posting-scan chunk of the budget).
 ///
 /// Endpoints (all GET, pattern expressions use the textual language of
 /// query/pattern_parser.h, URL-encoded in `q`):
@@ -86,6 +86,7 @@ struct ServingStatsSnapshot {
 ///   /detect?q=A->B[&limit=N][&deadline_ms=N]   pattern detection
 ///   /stats?q=A->B[&last=1]                pairwise statistics
 ///   /continue?q=A->B&mode=accurate|fast|hybrid[&topk=K][&limit=N]
+///            [&deadline_ms=N]
 ///
 /// /stats and /continue additionally accept `raw=1` — the shard-internal
 /// wire format of the scatter-gather router (shard_router.h): the same
@@ -156,7 +157,8 @@ class QueryService {
   HttpResponse HandleDetect(const HttpRequest& request,
                             const Deadline& deadline) const;
   HttpResponse HandleStats(const HttpRequest& request) const;
-  HttpResponse HandleContinue(const HttpRequest& request) const;
+  HttpResponse HandleContinue(const HttpRequest& request,
+                              const Deadline& deadline) const;
   HttpResponse HandleDebugSleep(const HttpRequest& request,
                                 const Deadline& deadline) const;
 

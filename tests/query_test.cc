@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -295,36 +297,125 @@ TEST(ContinuationTest, AccurateHonorsTimeConstraint) {
   }
 }
 
+/// Field-for-field equality of two ranked proposal lists — exact doubles,
+/// since both sides derive them from the same integer sums.
+void ExpectSameProposals(const std::vector<ContinuationProposal>& expected,
+                         const std::vector<ContinuationProposal>& actual,
+                         const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].activity, actual[i].activity) << context << " #" << i;
+    EXPECT_EQ(expected[i].total_completions, actual[i].total_completions)
+        << context << " #" << i;
+    EXPECT_EQ(expected[i].sum_duration, actual[i].sum_duration)
+        << context << " #" << i;
+    EXPECT_EQ(expected[i].average_duration, actual[i].average_duration)
+        << context << " #" << i;
+    EXPECT_EQ(expected[i].score, actual[i].score) << context << " #" << i;
+  }
+}
+
+// The continuation differential: Algorithm 3 as printed (a full Detect of
+// every extended pattern) is the reference for the incremental count-only
+// verification behind ContinueAccurate and ContinueHybrid(k >= |A|), over
+// every policy, with and without max_gap, base lengths 1-4, serial and
+// pooled execution.
 TEST(ContinuationTest, NaiveAlgorithm3MatchesIncremental) {
   Rng rng(88);
   EventLog log;
-  for (size_t t = 0; t < 20; ++t) {
-    for (size_t i = 0; i < 20; ++i) {
+  for (size_t t = 0; t < 24; ++t) {
+    Timestamp ts = 0;
+    for (size_t i = 0; i < 18; ++i) {
+      ts += static_cast<Timestamp>(1 + rng.NextBounded(4));
       log.Append(t, std::string(1, static_cast<char>('A' + rng.NextBounded(4))),
-                 static_cast<Timestamp>(i + 1));
+                 ts);
     }
+    // "Z" only ever ends a trace: a base ending in "Z -> X" has no match
+    // although X has followers.
+    if (t % 3 == 0) log.Append(t, "Z", ts + 1);
   }
   log.SortAllTraces();
+
+  std::vector<std::vector<std::string>> bases = {{"Z", "A"}, {"B", "Z", "C"}};
+  for (size_t len = 1; len <= 4; ++len) {
+    for (int n = 0; n < 4; ++n) {
+      std::vector<std::string> names;
+      for (size_t j = 0; j < len; ++j) {
+        names.push_back(
+            std::string(1, static_cast<char>('A' + rng.NextBounded(4))));
+      }
+      bases.push_back(names);
+    }
+  }
+
+  ParallelExecutionOptions tiny;
+  tiny.morsel_target_postings = 8;
+  tiny.min_parallel_join_input = 1;
+  tiny.min_parallel_candidates = 1;
+  ThreadPool pool(2);
+  bool saw_shared_end = false;
+  bool saw_empty_base = false;
+  for (Policy policy : {Policy::kStrictContiguity, Policy::kSkipTillNextMatch,
+                        Policy::kSkipTillAnyMatch}) {
+    Fixture f(log, policy);
+    QueryProcessor serial(f.index.get());
+    QueryProcessor pooled(f.index.get(), &pool, tiny);
+    for (const auto& names : bases) {
+      Pattern pattern = NamedPattern(f, names);
+      if (pattern.size() >= 2) {
+        auto base = serial.Detect(pattern);
+        ASSERT_TRUE(base.ok());
+        std::set<std::pair<eventlog::TraceId, Timestamp>> ends;
+        for (const PatternMatch& m : *base) {
+          if (!ends.emplace(m.trace, m.timestamps.back()).second) {
+            saw_shared_end = true;
+          }
+        }
+        auto followers =
+            f.index->GetFollowerStats(pattern.activities.back());
+        ASSERT_TRUE(followers.ok());
+        if (base->empty() && !followers->empty()) saw_empty_base = true;
+      }
+      for (std::optional<Timestamp> max_gap :
+           {std::optional<Timestamp>(), std::optional<Timestamp>(3)}) {
+        ContinuationConstraints constraints;
+        constraints.max_gap = max_gap;
+        auto naive = serial.ContinueAccurateNaive(pattern, constraints);
+        ASSERT_TRUE(naive.ok()) << naive.status();
+        for (const QueryProcessor* qp : {&serial, &pooled}) {
+          const std::string context =
+              std::string(index::PolicyName(policy)) + " " +
+              pattern.ToString(f.index->dictionary()) +
+              (max_gap ? " max_gap=3" : "") +
+              (qp == &pooled ? " pooled" : " serial");
+          auto accurate = qp->ContinueAccurate(pattern, constraints);
+          ASSERT_TRUE(accurate.ok()) << accurate.status();
+          ExpectSameProposals(*naive, *accurate, context + " accurate");
+          auto hybrid = qp->ContinueHybrid(pattern, 1000, constraints);
+          ASSERT_TRUE(hybrid.ok()) << hybrid.status();
+          ExpectSameProposals(*naive, *hybrid, context + " hybrid");
+        }
+      }
+    }
+  }
+  // The sweep must reach the two shapes the count-only kernel special-cases.
+  EXPECT_TRUE(saw_shared_end) << "no STAM base with repeated end keys";
+  EXPECT_TRUE(saw_empty_base) << "no empty base with candidates";
+}
+
+TEST(ContinuationTest, ExpiredDeadlineAborts) {
+  EventLog log = ContinuationLog();
   Fixture f(log);
   QueryProcessor qp(f.index.get());
-  for (auto names : {std::vector<std::string>{"A", "B"},
-                     std::vector<std::string>{"C"},
-                     std::vector<std::string>{"A", "B", "C"}}) {
+  ContinuationConstraints constraints;
+  constraints.deadline = Deadline::After(0);
+  for (const auto& names : {std::vector<std::string>{"A", "B"},
+                            std::vector<std::string>{"B"}}) {
     Pattern pattern = NamedPattern(f, names);
-    auto naive = qp.ContinueAccurateNaive(pattern);
-    auto incremental = qp.ContinueAccurate(pattern);
-    ASSERT_TRUE(naive.ok());
-    ASSERT_TRUE(incremental.ok());
-    ASSERT_EQ(naive->size(), incremental->size());
-    for (size_t i = 0; i < naive->size(); ++i) {
-      EXPECT_EQ((*naive)[i].activity, (*incremental)[i].activity) << i;
-      EXPECT_EQ((*naive)[i].total_completions,
-                (*incremental)[i].total_completions)
-          << i;
-      EXPECT_DOUBLE_EQ((*naive)[i].average_duration,
-                       (*incremental)[i].average_duration)
-          << i;
-    }
+    EXPECT_TRUE(
+        qp.ContinueAccurate(pattern, constraints).status().IsAborted());
+    EXPECT_TRUE(
+        qp.ContinueHybrid(pattern, 5, constraints).status().IsAborted());
   }
 }
 

@@ -675,27 +675,36 @@ TEST(QueryServiceTest, DeadlineCancelsSleepWithin2xBudget) {
   server.Stop();
 }
 
-TEST(QueryServiceTest, DeadlineCancelsExplodingDetectQuery) {
-  // Skip-till-any-match with one repeated activity makes the pair join
-  // combinatorial: C(k,2) postings per trace and exponentially many
-  // partial matches per added pattern step — the realistic "runaway
-  // query" a deadline budget exists for.
-  storage::DbOptions db_options;
-  db_options.table.in_memory = true;
-  db_options.table.use_wal = false;
-  auto db = std::move(storage::Database::Open("", db_options)).value();
-  index::IndexOptions idx_options;
-  idx_options.policy = index::Policy::kSkipTillAnyMatch;
-  idx_options.num_threads = 1;
-  auto index =
-      std::move(index::SequenceIndex::Open(db.get(), idx_options)).value();
-  eventlog::EventLog log;
-  for (eventlog::TraceId trace = 0; trace < 40; ++trace) {
-    for (int64_t ts = 0; ts < 40; ++ts) log.Append(trace, "tick", ts);
-  }
-  log.SortAllTraces();
-  ASSERT_TRUE(index->Update(log).ok());
+/// Skip-till-any-match with one repeated activity makes the pair join
+/// combinatorial: C(k,2) postings per trace and exponentially many partial
+/// matches per added pattern step — the realistic "runaway query" a
+/// deadline budget exists for.
+struct ExplodingTickIndex {
+  std::unique_ptr<storage::Database> db;
+  std::unique_ptr<index::SequenceIndex> index;
 
+  ExplodingTickIndex() {
+    storage::DbOptions db_options;
+    db_options.table.in_memory = true;
+    db_options.table.use_wal = false;
+    db = std::move(storage::Database::Open("", db_options)).value();
+    index::IndexOptions idx_options;
+    idx_options.policy = index::Policy::kSkipTillAnyMatch;
+    idx_options.num_threads = 1;
+    index =
+        std::move(index::SequenceIndex::Open(db.get(), idx_options)).value();
+    eventlog::EventLog log;
+    for (eventlog::TraceId trace = 0; trace < 40; ++trace) {
+      for (int64_t ts = 0; ts < 40; ++ts) log.Append(trace, "tick", ts);
+    }
+    log.SortAllTraces();
+    EXPECT_TRUE(index->Update(log).ok());
+  }
+};
+
+TEST(QueryServiceTest, DeadlineCancelsExplodingDetectQuery) {
+  ExplodingTickIndex ticks;
+  auto& index = ticks.index;
   QueryService service(index.get());
   HttpServer server;
   service.RegisterRoutes(&server);
@@ -721,6 +730,33 @@ TEST(QueryServiceTest, DeadlineCancelsExplodingDetectQuery) {
   auto aborted = qp.Detect(parsed->pattern, parsed->constraints);
   ASSERT_FALSE(aborted.ok());
   EXPECT_TRUE(aborted.status().IsAborted());
+  server.Stop();
+}
+
+TEST(QueryServiceTest, DeadlineCancelsExplodingContinueQuery) {
+  // /continue runs the base detection and every candidate verification
+  // under the request's budget, exactly as /detect does.
+  ExplodingTickIndex ticks;
+  QueryService service(ticks.index.get());
+  HttpServer server;
+  service.RegisterRoutes(&server);
+  ASSERT_TRUE(server.Start(0).ok());
+  HttpClient client(server.port());
+  std::string q = HttpClient::UrlEncode("tick -> tick -> tick -> tick");
+  Stopwatch watch;
+  auto response =
+      client.Get("/continue?q=" + q + "&mode=accurate&deadline_ms=25");
+  double elapsed_ms = watch.ElapsedMillis();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 504) << response->body;
+  EXPECT_NE(response->body.find("deadline"), std::string::npos);
+  EXPECT_LT(elapsed_ms, 2000.0);
+
+  uint64_t continue_timeouts = 0;
+  for (const auto& route : service.serving_stats().routes) {
+    if (route.route == "/continue") continue_timeouts = route.deadline_exceeded;
+  }
+  EXPECT_EQ(continue_timeouts, 1u);
   server.Stop();
 }
 

@@ -74,8 +74,9 @@ SEQDET="${ASAN_DIR}/tools/seqdet"
     --q="act_0 (act_1|act_2)+ !act_3 act_4 within 1h" --limit=5 > /dev/null
 
 # Sharded serving smoke (under ASan): shard-split the same log, serve the
-# two shards, front them with the router, and byte-compare a routed
-# /detect against the single unsharded server.
+# two shards, front them with the router, and byte-compare routed /detect
+# and /continue (accurate and hybrid) answers against the single unsharded
+# server.
 echo "=== SMOKE: sharded scatter-gather router ==="
 "${SEQDET}" shard-split --log="${SMOKE_DIR}/smoke.csv" --shards=2 \
     --out="${SMOKE_DIR}/shards"
@@ -121,6 +122,20 @@ for q in "act_0 -> act_1" "act_1 -> act_2 -> act_0" \
     diff "${SMOKE_DIR}/single.json" "${SMOKE_DIR}/routed.json" >&2 || true
     exit 1
   fi
+done
+for pattern in "act_0" "act_0,act_1" "act_0,act_1,act_2" "act_1,act_2,act_0"; do
+  for mode in accurate hybrid; do
+    "${SEQDET}" continue --port=$((PORT_BASE)) --pattern="${pattern}" \
+        --mode="${mode}" --topk=3 > "${SMOKE_DIR}/single.json"
+    "${SEQDET}" continue --port=$((PORT_BASE + 3)) --pattern="${pattern}" \
+        --mode="${mode}" --topk=3 > "${SMOKE_DIR}/routed.json"
+    if ! cmp -s "${SMOKE_DIR}/single.json" "${SMOKE_DIR}/routed.json"; then
+      echo "router smoke: routed /continue diverged for '${pattern}'" \
+          "(${mode})" >&2
+      diff "${SMOKE_DIR}/single.json" "${SMOKE_DIR}/routed.json" >&2 || true
+      exit 1
+    fi
+  done
 done
 cleanup_smoke_pids
 SMOKE_PIDS=()

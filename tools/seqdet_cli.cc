@@ -140,6 +140,9 @@ int Usage() {
       "  continue --db=<dir> --pattern=a,b [--mode=accurate|fast|hybrid]\n"
       "           [--topk=K] [--limit=N] [--insert-at=I]\n"
       "           [--query-threads=N]\n"
+      "           or --port=<n> --pattern=a,b [--mode=...] [--topk=K] to\n"
+      "           GET /continue from a live server or router and print the\n"
+      "           JSON response verbatim\n"
       "  prune    --db=<dir> --trace=<id>\n"
       "  fold     --db=<dir>   maintenance: fold statistics deltas and\n"
       "           rewrite posting lists as sorted v2 blocks (v1 upgrade)\n"
@@ -422,7 +425,46 @@ int CmdDetect(const Args& args) {
   return 0;
 }
 
+/// Live mode of `query` and `continue`: GETs `target` (plus the optional
+/// --limit / --deadline-ms parameters) from the server on --port and prints
+/// the JSON body verbatim — which makes byte-comparing a router against a
+/// single server a shell one-liner (tools/check_all.sh does exactly that).
+int LiveGet(const Args& args, std::string target) {
+  if (args.Has("limit")) {
+    target += "&limit=" + std::to_string(args.GetInt("limit", 0));
+  }
+  if (args.Has("deadline-ms")) {
+    target += "&deadline_ms=" + std::to_string(args.GetInt("deadline-ms", 0));
+  }
+  server::HttpClient client(static_cast<uint16_t>(args.GetInt("port", 0)));
+  auto response = client.Get(target);
+  if (!response.ok()) return Fail(response.status());
+  std::printf("%s\n", response->body.c_str());
+  if (response->status != 200) {
+    std::fprintf(stderr, "HTTP %d\n", response->status);
+    return 1;
+  }
+  return 0;
+}
+
 int CmdContinue(const Args& args) {
+  if (args.Has("port")) {
+    // Live mode: GET /continue. Each name is quoted so activity names that
+    // collide with the pattern grammar's keywords or punctuation survive.
+    std::string spec = args.Get("pattern");
+    if (spec.empty()) {
+      return Fail(Status::InvalidArgument("--pattern=a,b,c is required"));
+    }
+    std::vector<std::string> names = Split(spec, ',');
+    for (std::string& name : names) name = "\"" + name + "\"";
+    std::string target =
+        "/continue?q=" + server::HttpClient::UrlEncode(Join(names, " -> ")) +
+        "&mode=" + server::HttpClient::UrlEncode(args.Get("mode", "accurate"));
+    if (args.Has("topk")) {
+      target += "&topk=" + std::to_string(args.GetInt("topk", 5));
+    }
+    return LiveGet(args, target);
+  }
   auto db = storage::Database::Open(args.Get("db"));
   if (!db.ok()) return Fail(db.status());
   auto index = OpenIndexAnyPolicy(db->get());
@@ -469,30 +511,12 @@ int CmdContinue(const Args& args) {
 
 int CmdQuery(const Args& args) {
   if (args.Has("port")) {
-    // Live mode: GET /detect from a running `seqdet serve` or
-    // `seqdet route` and print the JSON body verbatim — which makes
-    // byte-comparing a router against a single server a shell one-liner
-    // (tools/check_all.sh does exactly that).
+    // Live mode: GET /detect from a running `seqdet serve` or `seqdet route`.
     std::string text = args.Get("q");
     if (text.empty()) {
       return Fail(Status::InvalidArgument("--q=<pattern> is required"));
     }
-    std::string target = "/detect?q=" + server::HttpClient::UrlEncode(text);
-    if (args.Has("limit")) {
-      target += "&limit=" + std::to_string(args.GetInt("limit", 100));
-    }
-    if (args.Has("deadline-ms")) {
-      target += "&deadline_ms=" + std::to_string(args.GetInt("deadline-ms", 0));
-    }
-    server::HttpClient client(static_cast<uint16_t>(args.GetInt("port", 0)));
-    auto response = client.Get(target);
-    if (!response.ok()) return Fail(response.status());
-    std::printf("%s\n", response->body.c_str());
-    if (response->status != 200) {
-      std::fprintf(stderr, "HTTP %d\n", response->status);
-      return 1;
-    }
-    return 0;
+    return LiveGet(args, "/detect?q=" + server::HttpClient::UrlEncode(text));
   }
   auto db = storage::Database::Open(args.Get("db"));
   if (!db.ok()) return Fail(db.status());
