@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <unordered_map>
 
 namespace seqdet::query {
@@ -67,16 +69,29 @@ struct MatchSet {
   size_t size() const { return traces.size(); }
   const Timestamp* row(size_t r) const { return ts.data() + r * width; }
   Timestamp last(size_t r) const { return ts[r * width + width - 1]; }
+
+  /// Appends a row of `width` timestamps, clearing sorted_by_key when its
+  /// key falls before the current last row's.
+  void PushRow(TraceId trace, const Timestamp* src) {
+    if (!traces.empty() &&
+        (trace < traces.back() ||
+         (trace == traces.back() && src[width - 1] < last(size() - 1)))) {
+      sorted_by_key = false;
+    }
+    traces.push_back(trace);
+    // Element-wise: a range insert costs a library copy call per row.
+    for (size_t i = 0; i < width; ++i) ts.push_back(src[i]);
+  }
 };
 
-/// Drops every row for which keep(row_timestamps) is false, preserving
-/// order (and therefore sortedness).
+/// Drops every row for which keep(trace, row_timestamps) is false,
+/// preserving order (and therefore sortedness).
 template <typename Keep>
 void FilterRows(MatchSet* set, Keep keep) {
   size_t out_row = 0;
   for (size_t r = 0; r < set->size(); ++r) {
     const Timestamp* src = set->row(r);
-    if (!keep(src)) continue;
+    if (!keep(set->traces[r], src)) continue;
     if (out_row != r) {
       set->traces[out_row] = set->traces[r];
       std::copy(src, src + set->width, set->ts.data() + out_row * set->width);
@@ -87,17 +102,14 @@ void FilterRows(MatchSet* set, Keep keep) {
   set->ts.resize(out_row * set->width);
 }
 
-std::vector<PatternMatch> ToPatternMatches(const MatchSet& set) {
-  std::vector<PatternMatch> out;
-  out.reserve(set.size());
+void AppendPatternMatches(const MatchSet& set, std::vector<PatternMatch>* out) {
   for (size_t r = 0; r < set.size(); ++r) {
     PatternMatch m;
     m.trace = set.traces[r];
     const Timestamp* src = set.row(r);
     m.timestamps.assign(src, src + set.width);
-    out.push_back(std::move(m));
+    out->push_back(std::move(m));
   }
-  return out;
 }
 
 /// Algorithm 2 lines 5-13 over one contiguous slice of the join: keep
@@ -354,34 +366,6 @@ Result<StatisticsResult> QueryProcessor::Statistics(
   return result;
 }
 
-Result<std::vector<PatternMatch>> QueryProcessor::ExtendMatches(
-    std::vector<PatternMatch> matches,
-    const std::vector<PairOccurrence>& postings, const Deadline& deadline)
-    const {
-  if (matches.empty()) return std::vector<PatternMatch>{};
-  // Pack into the flat working representation (all inputs come from a
-  // prior Detect, so every match has the same width), join, unpack.
-  MatchSet set;
-  set.width = matches[0].timestamps.size();
-  set.traces.reserve(matches.size());
-  set.ts.reserve(matches.size() * set.width);
-  for (const PatternMatch& m : matches) {
-    if (!set.traces.empty() &&
-        (m.trace < set.traces.back() ||
-         (m.trace == set.traces.back() &&
-          m.timestamps.back() < set.last(set.size() - 1)))) {
-      set.sorted_by_key = false;
-    }
-    set.traces.push_back(m.trace);
-    set.ts.insert(set.ts.end(), m.timestamps.begin(), m.timestamps.end());
-  }
-  SEQDET_ASSIGN_OR_RETURN(
-      MatchSet extended,
-      ExtendMatchSet(set, postings, deadline,
-                     ParallelContext{pool_, &parallel_}));
-  return ToPatternMatches(extended);
-}
-
 Result<std::vector<PatternMatch>> QueryProcessor::Detect(
     const Pattern& pattern, const DetectionConstraints& constraints) const {
   if (pattern.size() < 2) {
@@ -494,7 +478,7 @@ Result<std::vector<PatternMatch>> QueryProcessor::Detect(
     if (constraints.max_gap.has_value()) {
       const size_t w = matches.width;
       const Timestamp max_gap = *constraints.max_gap;
-      FilterRows(&matches, [w, max_gap](const Timestamp* row) {
+      FilterRows(&matches, [w, max_gap](TraceId, const Timestamp* row) {
         return row[w - 1] - row[w - 2] <= max_gap;
       });
     }
@@ -502,11 +486,14 @@ Result<std::vector<PatternMatch>> QueryProcessor::Detect(
   if (constraints.max_span.has_value()) {
     const size_t w = matches.width;
     const Timestamp max_span = *constraints.max_span;
-    FilterRows(&matches, [w, max_span](const Timestamp* row) {
+    FilterRows(&matches, [w, max_span](TraceId, const Timestamp* row) {
       return row[w - 1] - row[0] <= max_span;
     });
   }
-  return ToPatternMatches(matches);
+  std::vector<PatternMatch> out;
+  out.reserve(matches.size());
+  AppendPatternMatches(matches, &out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -515,14 +502,14 @@ Result<std::vector<PatternMatch>> QueryProcessor::Detect(
 
 namespace {
 
-/// The working state of the extended join: matches of one uniform width
+/// The working state of the extended join: rows of one uniform width
 /// sharing the same Kleene depth distribution, plus — per positive pattern
 /// element — the index of the LAST timestamp its chain occupies (the first
-/// follows as last_of[j-1] + 1). Groups stay separate because MatchSet and
-/// ExtendMatches are fixed-width; every group flows through the same
-/// morsel-parallel join kernel Detect uses.
+/// follows as last_of[j-1] + 1). Groups stay separate because a MatchSet
+/// is fixed-width; every group flows through the same morsel-parallel join
+/// kernel Detect uses.
 struct ExtGroup {
-  std::vector<PatternMatch> matches;
+  MatchSet matches;
   std::vector<uint32_t> last_of;
 };
 
@@ -539,54 +526,125 @@ std::optional<Timestamp> TighterBound(std::optional<Timestamp> a,
 /// the same occurrence only when events share timestamps). With
 /// `strict_progress`, occurrences whose timestamp does not advance are
 /// dropped — the rule that bounds Kleene closures.
-Result<std::vector<PairOccurrence>> MergedPostings(
+///
+/// A single non-empty list is the cached snapshot itself, copied only when
+/// strict progress really drops a posting (SC ties). Several lists are
+/// k-way merged from their sorted snapshots in O(n log k). The deadline is
+/// polled before every concrete pair fetch and every kDeadlineStride merged
+/// postings, so a wide disjunction cannot overrun it while gathering.
+Result<index::PostingCache::Snapshot> MergedPostings(
     const index::SequenceIndex* index, const std::vector<ActivityId>& from,
-    const std::vector<ActivityId>& to, bool strict_progress) {
-  std::vector<PairOccurrence> out;
+    const std::vector<ActivityId>& to, bool strict_progress,
+    const Deadline& deadline) {
+  std::vector<index::PostingCache::Snapshot> lists;
   for (ActivityId a : from) {
     for (ActivityId b : to) {
+      if (deadline.Expired()) return DeadlineExceeded();
       SEQDET_ASSIGN_OR_RETURN(auto snapshot,
                               index->GetPairPostingsShared({a, b}));
-      for (const PairOccurrence& p : *snapshot) {
-        if (strict_progress && p.ts_second <= p.ts_first) continue;
-        out.push_back(p);
-      }
+      if (!snapshot->empty()) lists.push_back(std::move(snapshot));
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  auto keep = [strict_progress](const PairOccurrence& p) {
+    return !strict_progress || p.ts_second > p.ts_first;
+  };
+  if (lists.size() == 1 &&
+      (!strict_progress ||
+       std::all_of(lists[0]->begin(), lists[0]->end(), keep))) {
+    return lists[0];
+  }
+
+  // A min-heap of cursors, one per list. Equal occurrences pop one after
+  // another, so comparing with the last one kept deduplicates.
+  struct Cursor {
+    const PairOccurrence* at;
+    const PairOccurrence* end;
+  };
+  auto later = [](const Cursor& x, const Cursor& y) { return *y.at < *x.at; };
+  std::vector<Cursor> heap;
+  size_t total = 0;
+  for (const auto& list : lists) {
+    heap.push_back({list->data(), list->data() + list->size()});
+    total += list->size();
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  auto merged = std::make_shared<std::vector<PairOccurrence>>();
+  merged->reserve(total);
+  size_t ticks = 0;
+  while (!heap.empty()) {
+    if (++ticks % kDeadlineStride == 0 && deadline.Expired()) {
+      return DeadlineExceeded();
+    }
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = heap.back();
+    if (keep(*c.at) && (merged->empty() || merged->back() != *c.at)) {
+      merged->push_back(*c.at);
+    }
+    if (++c.at == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  return index::PostingCache::Snapshot(std::move(merged));
+}
+
+/// (trace, ts_second, ts_first) order: how the leading-Kleene left
+/// extension probes postings.
+bool BySecondLess(const PairOccurrence& p, const PairOccurrence& q) {
+  return std::tie(p.trace, p.ts_second, p.ts_first) <
+         std::tie(q.trace, q.ts_second, q.ts_first);
+}
+
+/// Prepends postings to rows whose first timestamp equals the posting's
+/// second — the leading-Kleene left extension. `by_second` must be sorted
+/// by BySecondLess. A row's extensions are appended together and keep its
+/// last timestamp, so the output inherits the input's key order.
+Result<MatchSet> LeftExtendMatchSet(
+    const MatchSet& matches, const std::vector<PairOccurrence>& by_second,
+    const Deadline& deadline) {
+  MatchSet out;
+  out.width = matches.width + 1;
+  out.sorted_by_key = matches.sorted_by_key;
+  size_t ticks = 0;
+  for (size_t r = 0; r < matches.size(); ++r) {
+    if (++ticks % kDeadlineStride == 0 && deadline.Expired()) {
+      return DeadlineExceeded();
+    }
+    const TraceId trace = matches.traces[r];
+    const Timestamp* src = matches.row(r);
+    const PairOccurrence probe{trace, std::numeric_limits<Timestamp>::min(),
+                               src[0]};
+    for (auto it = std::lower_bound(by_second.begin(), by_second.end(), probe,
+                                    BySecondLess);
+         it != by_second.end() && it->trace == trace &&
+         it->ts_second == src[0];
+         ++it) {
+      out.traces.push_back(trace);
+      out.ts.push_back(it->ts_first);
+      out.ts.insert(out.ts.end(), src, src + matches.width);
+    }
+  }
   return out;
 }
 
-/// Prepends postings to matches whose first timestamp equals the posting's
-/// second — the leading-Kleene left extension. `postings_by_second` must be
-/// sorted by (trace, ts_second, ts_first).
-std::vector<PatternMatch> LeftExtendMatches(
-    const std::vector<PatternMatch>& matches,
-    const std::vector<PairOccurrence>& postings_by_second) {
-  auto by_second_less = [](const PairOccurrence& p, const PairOccurrence& q) {
-    return std::tie(p.trace, p.ts_second, p.ts_first) <
-           std::tie(q.trace, q.ts_second, q.ts_first);
-  };
-  std::vector<PatternMatch> out;
-  for (const PatternMatch& m : matches) {
-    const PairOccurrence probe{m.trace, std::numeric_limits<Timestamp>::min(),
-                               m.timestamps.front()};
-    for (auto it = std::lower_bound(postings_by_second.begin(),
-                                    postings_by_second.end(), probe,
-                                    by_second_less);
-         it != postings_by_second.end() && it->trace == m.trace &&
-         it->ts_second == m.timestamps.front();
-         ++it) {
-      PatternMatch extended;
-      extended.trace = m.trace;
-      extended.timestamps.reserve(m.timestamps.size() + 1);
-      extended.timestamps.push_back(it->ts_first);
-      for (Timestamp ts : m.timestamps) extended.timestamps.push_back(ts);
-      out.push_back(std::move(extended));
-    }
-  }
-  return out;
+/// Puts rows in (trace, last timestamp) order — the next join's key — so
+/// ExtendMatchSet runs its merge/probe kernel instead of hashing the whole
+/// posting list. Rows with equal keys end up in no particular order.
+void SortByKey(MatchSet* set) {
+  if (set->sorted_by_key) return;
+  std::vector<size_t> order(set->size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [set](size_t a, size_t b) {
+    return std::pair(set->traces[a], set->last(a)) <
+           std::pair(set->traces[b], set->last(b));
+  });
+  MatchSet sorted;
+  sorted.width = set->width;
+  sorted.traces.reserve(set->size());
+  sorted.ts.reserve(set->ts.size());
+  for (size_t r : order) sorted.PushRow(set->traces[r], set->row(r));
+  *set = std::move(sorted);
 }
 
 /// Canonical result order of extended detection: (trace, timestamps
@@ -641,13 +699,25 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
   auto span_ok = [&max_span](Timestamp first, Timestamp last) {
     return !max_span || last - first <= *max_span;
   };
-  auto filter_bounds = [&](std::vector<PatternMatch>* matches) {
-    std::erase_if(*matches, [&](const PatternMatch& m) {
-      for (size_t i = 1; i < m.timestamps.size(); ++i) {
-        if (!gap_ok(m.timestamps[i - 1], m.timestamps[i])) return true;
+  auto filter_bounds = [&](MatchSet* set) {
+    if (!max_gap && !max_span) return;
+    const size_t w = set->width;
+    FilterRows(set, [&](TraceId, const Timestamp* row) {
+      for (size_t i = 1; i < w; ++i) {
+        if (!gap_ok(row[i - 1], row[i])) return false;
       }
-      return !span_ok(m.timestamps.front(), m.timestamps.back());
+      return span_ok(row[0], row[w - 1]);
     });
+  };
+
+  // Every join runs on key-ordered rows. Disjunction seeds and Kleene
+  // depths can leave (trace, last timestamp) order; sorting them first
+  // keeps ExtendMatchSet on its merge/probe kernel. The intermediate order
+  // is free to change: the result is sorted canonically at the end.
+  const ParallelContext par{pool_, &parallel_};
+  auto join = [&](MatchSet* rows, const std::vector<PairOccurrence>& postings) {
+    SortByKey(rows);
+    return ExtendMatchSet(*rows, postings, deadline, par);
   };
 
   std::vector<size_t> positives;
@@ -672,6 +742,8 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
     return &it->second;
   };
 
+  // Only non-empty groups are kept, so an empty list means no matches and
+  // no further postings are fetched.
   std::vector<ExtGroup> groups;
   if (k == 1) {
     // Single positive element (compliance templates): every matching event
@@ -680,62 +752,65 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
     SEQDET_ASSIGN_OR_RETURN(std::vector<TraceId> traces,
                             index_->ListTraces());
     ExtGroup seed;
+    seed.matches.width = 1;
     seed.last_of = {0};
     size_t ticks = 0;
     for (TraceId trace : traces) {
       if (++ticks % 64 == 0 && deadline.Expired()) return DeadlineExceeded();
       SEQDET_ASSIGN_OR_RETURN(const auto* events, trace_events(trace));
       for (const eventlog::Event& ev : *events) {
-        if (!elem(0).Matches(ev.activity)) continue;
-        PatternMatch m;
-        m.trace = trace;
-        m.timestamps.push_back(ev.ts);
-        seed.matches.push_back(std::move(m));
+        if (elem(0).Matches(ev.activity)) seed.matches.PushRow(trace, &ev.ts);
       }
     }
-    groups.push_back(std::move(seed));
+    if (seed.matches.size() > 0) groups.push_back(std::move(seed));
   } else {
     // Seed with the (P0, P1) pair, then left-close a leading Kleene: the
     // pair index has no single-event occurrence lists, so the first
     // transition is folded into the seed and earlier chain members of a
     // Kleene P0 are prepended afterwards.
     SEQDET_ASSIGN_OR_RETURN(
-        std::vector<PairOccurrence> seed_postings,
+        auto seed_postings,
         MergedPostings(index_, elem(0).alternatives, elem(1).alternatives,
-                       /*strict_progress=*/false));
+                       /*strict_progress=*/false, deadline));
     ExtGroup seed;
+    seed.matches.width = 2;
     seed.last_of = {0, 1};
-    seed.matches.reserve(seed_postings.size());
-    for (const PairOccurrence& p : seed_postings) {
+    seed.matches.traces.reserve(seed_postings->size());
+    seed.matches.ts.reserve(seed_postings->size() * 2);
+    size_t ticks = 0;
+    for (const PairOccurrence& p : *seed_postings) {
+      if (++ticks % kDeadlineStride == 0 && deadline.Expired()) {
+        return DeadlineExceeded();
+      }
       if (!gap_ok(p.ts_first, p.ts_second) ||
           !span_ok(p.ts_first, p.ts_second)) {
         continue;
       }
-      PatternMatch m;
-      m.trace = p.trace;
-      m.timestamps.push_back(p.ts_first);
-      m.timestamps.push_back(p.ts_second);
-      seed.matches.push_back(std::move(m));
+      const Timestamp row[2] = {p.ts_first, p.ts_second};
+      seed.matches.PushRow(p.trace, row);
     }
-    groups.push_back(std::move(seed));
-    if (elem(0).kleene) {
+    if (seed.matches.size() > 0) groups.push_back(std::move(seed));
+    if (elem(0).kleene && !groups.empty()) {
       SEQDET_ASSIGN_OR_RETURN(
-          std::vector<PairOccurrence> self,
+          auto self,
           MergedPostings(index_, elem(0).alternatives, elem(0).alternatives,
-                         /*strict_progress=*/true));
-      std::sort(self.begin(), self.end(),
-                [](const PairOccurrence& p, const PairOccurrence& q) {
-                  return std::tie(p.trace, p.ts_second, p.ts_first) <
-                         std::tie(q.trace, q.ts_second, q.ts_first);
-                });
+                         /*strict_progress=*/true, deadline));
+      // One self pair's completions never cross, so only merged
+      // alternatives need the re-sort by second event.
+      if (!std::is_sorted(self->begin(), self->end(), BySecondLess)) {
+        auto by_second = std::make_shared<std::vector<PairOccurrence>>(*self);
+        std::sort(by_second->begin(), by_second->end(), BySecondLess);
+        self = std::move(by_second);
+      }
       size_t frontier = 0;  // groups[frontier..] are the newest depth
       while (frontier < groups.size()) {
         if (deadline.Expired()) return DeadlineExceeded();
-        std::vector<PatternMatch> deeper =
-            LeftExtendMatches(groups[frontier].matches, self);
+        SEQDET_ASSIGN_OR_RETURN(
+            MatchSet deeper,
+            LeftExtendMatchSet(groups[frontier].matches, *self, deadline));
         filter_bounds(&deeper);
         ++frontier;
-        if (deeper.empty()) continue;
+        if (deeper.size() == 0) continue;
         ExtGroup g;
         for (uint32_t idx : groups[frontier - 1].last_of) {
           g.last_of.push_back(idx + 1);  // the prepend shifted every index
@@ -749,52 +824,46 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
   // Close the remaining positives left to right. j == 1 was folded into
   // the seed (and a leading Kleene left-closed above); each Kleene element
   // gets a right closure chaining strict-progress self pairs.
-  for (size_t j = (k == 1 ? 0 : 1); j < k; ++j) {
+  for (size_t j = (k == 1 ? 0 : 1); j < k && !groups.empty(); ++j) {
     if (deadline.Expired()) return DeadlineExceeded();
     if (j >= 2) {
       SEQDET_ASSIGN_OR_RETURN(
-          std::vector<PairOccurrence> postings,
+          auto postings,
           MergedPostings(index_, elem(j - 1).alternatives,
-                         elem(j).alternatives, /*strict_progress=*/false));
+                         elem(j).alternatives, /*strict_progress=*/false,
+                         deadline));
       std::vector<ExtGroup> next;
       next.reserve(groups.size());
       for (ExtGroup& g : groups) {
-        SEQDET_ASSIGN_OR_RETURN(
-            std::vector<PatternMatch> extended,
-            ExtendMatches(std::move(g.matches), postings, deadline));
+        SEQDET_ASSIGN_OR_RETURN(MatchSet extended,
+                                join(&g.matches, *postings));
+        g.matches = MatchSet();
         filter_bounds(&extended);
-        if (extended.empty()) continue;
-        ExtGroup ng;
-        ng.last_of = std::move(g.last_of);
-        ng.last_of.push_back(
-            static_cast<uint32_t>(extended.front().timestamps.size() - 1));
-        ng.matches = std::move(extended);
-        next.push_back(std::move(ng));
+        if (extended.size() == 0) continue;
+        g.last_of.push_back(static_cast<uint32_t>(extended.width - 1));
+        next.push_back(ExtGroup{std::move(extended), std::move(g.last_of)});
       }
       groups = std::move(next);
     }
-    if (elem(j).kleene && !(j == 0 && k > 1)) {
+    if (elem(j).kleene && !groups.empty()) {
       SEQDET_ASSIGN_OR_RETURN(
-          std::vector<PairOccurrence> self,
+          auto self,
           MergedPostings(index_, elem(j).alternatives, elem(j).alternatives,
-                         /*strict_progress=*/true));
+                         /*strict_progress=*/true, deadline));
       // Close every existing group; newly produced depths join the queue
       // and are themselves closed until the strict-progress rule runs the
       // frontier dry.
       size_t frontier = 0;
       while (frontier < groups.size()) {
         if (deadline.Expired()) return DeadlineExceeded();
-        SEQDET_ASSIGN_OR_RETURN(
-            std::vector<PatternMatch> deeper,
-            ExtendMatches(groups[frontier].matches, self, deadline));
+        SEQDET_ASSIGN_OR_RETURN(MatchSet deeper,
+                                join(&groups[frontier].matches, *self));
         filter_bounds(&deeper);
         ++frontier;
-        if (deeper.empty()) continue;
-        ExtGroup g;
-        g.last_of = groups[frontier - 1].last_of;
-        g.last_of.back() += 1;
-        g.matches = std::move(deeper);
-        groups.push_back(std::move(g));
+        if (deeper.size() == 0) continue;
+        std::vector<uint32_t> last_of = groups[frontier - 1].last_of;
+        last_of.back() += 1;
+        groups.push_back(ExtGroup{std::move(deeper), std::move(last_of)});
       }
     }
   }
@@ -802,61 +871,65 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
   // Negation post-verification: a match dies when an event of the negated
   // set lies strictly inside the open interval between its positive
   // neighbours' matched events (unbounded at the pattern ends).
-  std::vector<size_t> negations;
-  for (size_t i = 0; i < pattern.elements.size(); ++i) {
-    if (pattern.elements[i].negated) negations.push_back(i);
+  struct Negation {
+    const PatternElement* element;
+    size_t left;   // positive neighbour indices; k = no such neighbour
+    size_t right;
+  };
+  std::vector<Negation> negations;
+  for (size_t e = 0; e < pattern.elements.size(); ++e) {
+    if (!pattern.elements[e].negated) continue;
+    Negation n{&pattern.elements[e], k, k};
+    for (size_t j = 0; j < k; ++j) {
+      if (positives[j] < e) n.left = j;
+      if (positives[j] > e) {
+        n.right = j;
+        break;
+      }
+    }
+    negations.push_back(n);
   }
   if (!negations.empty()) {
+    Status status;
+    size_t ticks = 0;
     for (ExtGroup& g : groups) {
-      size_t ticks = 0;
-      std::vector<PatternMatch> kept;
-      kept.reserve(g.matches.size());
-      for (PatternMatch& m : g.matches) {
+      FilterRows(&g.matches, [&](TraceId trace, const Timestamp* row) {
+        if (!status.ok()) return false;
         if (++ticks % 1024 == 0 && deadline.Expired()) {
-          return DeadlineExceeded();
+          status = DeadlineExceeded();
+          return false;
         }
-        SEQDET_ASSIGN_OR_RETURN(const auto* events, trace_events(m.trace));
-        bool violated = false;
-        for (size_t e : negations) {
-          size_t left = k, right = k;  // k = "no such neighbour"
-          for (size_t j = 0; j < k; ++j) {
-            if (positives[j] < e) left = j;
-            if (positives[j] > e) {
-              right = j;
-              break;
-            }
-          }
-          const bool has_left = left != k;
-          const bool has_right = right != k;
-          const Timestamp left_ts =
-              has_left ? m.timestamps[g.last_of[left]] : 0;
+        auto events = trace_events(trace);
+        if (!events.ok()) {
+          status = events.status();
+          return false;
+        }
+        for (const Negation& n : negations) {
+          const bool has_left = n.left != k;
+          const bool has_right = n.right != k;
+          const Timestamp left_ts = has_left ? row[g.last_of[n.left]] : 0;
           const Timestamp right_ts =
-              has_right
-                  ? m.timestamps[right == 0 ? 0 : g.last_of[right - 1] + 1]
-                  : 0;
-          for (const eventlog::Event& ev : *events) {
-            if (!pattern.elements[e].Matches(ev.activity)) continue;
+              has_right ? row[n.right == 0 ? 0 : g.last_of[n.right - 1] + 1]
+                        : 0;
+          for (const eventlog::Event& ev : **events) {
+            if (!n.element->Matches(ev.activity)) continue;
             if (has_left && ev.ts <= left_ts) continue;
             if (has_right && ev.ts >= right_ts) continue;
-            violated = true;
-            break;
+            return false;
           }
-          if (violated) break;
         }
-        if (!violated) kept.push_back(std::move(m));
-      }
-      g.matches = std::move(kept);
+        return true;
+      });
+      SEQDET_RETURN_IF_ERROR(status);
     }
   }
 
-  // Canonical order + dedup across groups.
+  // Canonical order + dedup across groups; the only PatternMatch build.
   std::vector<PatternMatch> out;
   size_t total = 0;
   for (const ExtGroup& g : groups) total += g.matches.size();
   out.reserve(total);
-  for (ExtGroup& g : groups) {
-    for (PatternMatch& m : g.matches) out.push_back(std::move(m));
-  }
+  for (const ExtGroup& g : groups) AppendPatternMatches(g.matches, &out);
   std::sort(out.begin(), out.end(), CanonicalMatchLess);
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

@@ -104,10 +104,10 @@ struct ContinuationConstraints {
 /// logs. Whatever the values, parallel execution returns byte-identical
 /// match vectors to the serial path (see DESIGN.md §13 for the argument).
 struct ParallelExecutionOptions {
-  /// Target postings per join morsel: every ExtendMatches merge join over a
-  /// (trace, ts)-sorted input is split into contiguous trace-aligned ranges
-  /// of roughly this many postings, run on the pool, and concatenated in
-  /// morsel order.
+  /// Target postings per join morsel: every pair join (Detect's and each
+  /// step of DetectExtended's) over a (trace, ts)-sorted input is split
+  /// into contiguous trace-aligned ranges of roughly this many postings,
+  /// run on the pool, and concatenated in morsel order.
   size_t morsel_target_postings = 128u << 10;
   /// Minimum total join input (postings + surviving matches) before a join
   /// is morselized at all; below it the fork/join overhead exceeds the win.
@@ -147,10 +147,12 @@ class QueryProcessor {
       const DetectionConstraints& constraints = {}) const;
 
   /// Extended-operator detection (DESIGN.md §14): expands disjunctions and
-  /// Kleene+ into a positive pair-join skeleton over the index — merged
-  /// alternative-pair posting lists run through the same (morsel-parallel)
-  /// join kernel Detect uses — then post-verifies negation intervals and
-  /// time windows per candidate match.
+  /// Kleene+ into a positive pair-join skeleton over the index — shared
+  /// posting snapshots (k-way merged across alternatives) run through the
+  /// same flat, morsel-parallel join kernel Detect uses — then
+  /// post-verifies negation intervals per candidate match. Time windows
+  /// are applied after every extension. The deadline is polled per pair
+  /// fetch and inside every merge, join and extension.
   ///
   /// Contract:
   ///  * a plain pattern (>= 2 single-alternative positives, no operators)
@@ -249,22 +251,6 @@ class QueryProcessor {
   static void RankProposals(std::vector<ContinuationProposal>* proposals);
 
  private:
-  /// Joins `matches` with the postings of (last pattern event, next):
-  /// keeps matches whose last event is the first component of a posting,
-  /// extended by the posting's second timestamp (the Algorithm 2 step).
-  /// Takes `matches` by value so the common single-continuation case can
-  /// move each surviving match into its extension; pass std::move when the
-  /// input is no longer needed. `postings` must be sorted by
-  /// (trace, ts_first) — what GetPairPostingsShared returns. Polls
-  /// `deadline` every few thousand joined matches and aborts the join —
-  /// the cancellation point that keeps one huge pair join from blowing a
-  /// serving deadline. Runs as trace-partitioned morsels on the
-  /// processor's pool when the join is large enough.
-  Result<std::vector<PatternMatch>> ExtendMatches(
-      std::vector<PatternMatch> matches,
-      const std::vector<index::PairOccurrence>& postings,
-      const Deadline& deadline = Deadline::Never()) const;
-
   /// Runs `verify(i)` for every candidate index in [0, n) — concurrently on
   /// the pool when there are enough candidates (each verification is an
   /// independent index read) — storing result i into (*proposals)[i].

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "baselines/sase/sase_engine.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "index/sequence_index.h"
@@ -930,6 +931,31 @@ TEST(ExtendedDetectTest, DisjunctionBranchesSharingAnActivityDedupe) {
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(*dup, *plain);
   EXPECT_EQ(*dup, (Matches{M(1, {1, 4})}));
+}
+
+TEST(ExtendedDetectTest, DisjunctionBranchesEmittingOneOccurrenceDedupe) {
+  // B and C tie at ts 2, so the concrete pairs (A,B) and (A,C) both emit
+  // the occurrence (1, 2); the merged postings must hold it once.
+  EventLog log;
+  log.Append(1, "A", 1);
+  log.Append(1, "B", 2);
+  log.Append(1, "C", 2);
+  log.SortAllTraces();
+  Fixture f(log);
+  QueryProcessor qp(f.index.get());
+  ExtendedPattern pattern = Ext(f, "A (B|C)");
+  auto m = qp.DetectExtended(pattern);
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(*m, (Matches{M(1, {1, 2})}));
+
+  baseline::SaseEngine engine(&log);
+  auto oracle = engine.DetectExtended(pattern, Policy::kSkipTillNextMatch);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  Matches expected;
+  for (const baseline::SaseMatch& o : *oracle) {
+    expected.push_back(M(o.trace, o.timestamps));
+  }
+  EXPECT_EQ(*m, expected);
 }
 
 TEST(ExtendedDetectTest, KleeneChainsViaSharedEventJoins) {

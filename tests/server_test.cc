@@ -760,6 +760,71 @@ TEST(QueryServiceTest, DeadlineCancelsExplodingContinueQuery) {
   server.Stop();
 }
 
+/// A log over a wide alphabet: 3,200 traces of 10 events, the activities
+/// a0..a1599 dealt round-robin so every one occurs. A disjunction of the
+/// whole alphabet names 1600^2 concrete pairs, most of them empty.
+struct WideAlphabetIndex {
+  static constexpr size_t kActivities = 1600;
+  std::unique_ptr<storage::Database> db;
+  std::unique_ptr<index::SequenceIndex> index;
+
+  WideAlphabetIndex() {
+    storage::DbOptions db_options;
+    db_options.table.in_memory = true;
+    db_options.table.use_wal = false;
+    db = std::move(storage::Database::Open("", db_options)).value();
+    index::IndexOptions idx_options;
+    idx_options.num_threads = 1;
+    index =
+        std::move(index::SequenceIndex::Open(db.get(), idx_options)).value();
+    eventlog::EventLog log;
+    size_t next = 0;
+    for (eventlog::TraceId trace = 0; trace < 3200; ++trace) {
+      for (int64_t ts = 0; ts < 10; ++ts) {
+        log.Append(trace, "a" + std::to_string(next++ % kActivities), ts);
+      }
+    }
+    log.SortAllTraces();
+    EXPECT_TRUE(index->Update(log).ok());
+  }
+
+  /// "(a0|a1|...)": the whole alphabet as one element.
+  static std::string AnyActivity() {
+    std::string any = "(";
+    for (size_t a = 0; a < kActivities; ++a) {
+      any += (a == 0 ? "a" : "|a") + std::to_string(a);
+    }
+    return any + ")";
+  }
+};
+
+TEST(QueryServiceTest, DeadlineCancelsWideDisjunctionDetectQuery) {
+  // Gathering the seed postings of (any) (any) fetches every concrete pair
+  // of the alphabet before any join runs; the budget must cut that short.
+  WideAlphabetIndex wide;
+  QueryService service(wide.index.get());
+  HttpServer server;
+  service.RegisterRoutes(&server);
+  ASSERT_TRUE(server.Start(0).ok());
+  HttpClient client(server.port());
+  const std::string any = WideAlphabetIndex::AnyActivity();
+  std::string q = HttpClient::UrlEncode(any + " " + any + " a1");
+  Stopwatch watch;
+  auto response = client.Get("/detect?q=" + q + "&deadline_ms=25");
+  double elapsed_ms = watch.ElapsedMillis();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 504) << response->body;
+  EXPECT_NE(response->body.find("deadline"), std::string::npos);
+  EXPECT_LT(elapsed_ms, 2000.0);
+
+  uint64_t detect_timeouts = 0;
+  for (const auto& route : service.serving_stats().routes) {
+    if (route.route == "/detect") detect_timeouts = route.deadline_exceeded;
+  }
+  EXPECT_EQ(detect_timeouts, 1u);
+  server.Stop();
+}
+
 TEST(QueryServiceTest, MalformedHttpGets400) {
   ServiceFixture f;
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);

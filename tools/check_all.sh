@@ -12,8 +12,11 @@
 #   (defaults: build-asan, build-tsan)
 #   --static   run only the fast pre-merge slice: the static gate
 #              (check_static.sh, which includes the negative probes and
-#              seqdet-lint) plus a plain build and the tier-1 ctest
-#              labels, then exit — no sanitizer sweeps, no smoke.
+#              seqdet-lint) plus a plain build, the tier-1 ctest labels
+#              and the end-to-end benchmark's build and self-test
+#              (perfbench/run.py --selftest, which compiles ../src on its
+#              own, so a src/ API change cannot break it unseen), then
+#              exit — no sanitizer sweeps, no smoke.
 # Set SEQDET_SKIP_TSAN=1 to run only the ASan/UBSan pass.
 # Set SEQDET_SKIP_STATIC=1 to skip the static gate.
 # Set SEQDET_RUN_BENCH=1 to also run the bench regression gate
@@ -42,6 +45,8 @@ if [[ "${STATIC_ONLY}" == "1" ]]; then
   cmake --build "${PLAIN_DIR}" -j"$(nproc)"
   ctest --test-dir "${PLAIN_DIR}" --output-on-failure -j"$(nproc)" \
       -L tier1
+  echo "=== STATIC-ONLY: perfbench build + self-test ==="
+  (cd "${REPO_DIR}" && python3 perfbench/run.py --selftest)
   echo "=== check_all --static: all clean ==="
   exit 0
 fi
