@@ -1,9 +1,11 @@
 // Measures what the SDSEG2 block-compressed segment format buys on disk
 // and on the cold read path. The same skewed log is indexed twice into
 // on-disk databases that differ only in segment format (flat SDSEG1 vs
-// block-compressed SDSEG2); both use the blocked v2 *posting* format, so
-// the comparison isolates the segment layer: posting-FOR value transcode +
-// prefix-compressed keys vs the same bytes stored raw.
+// block-compressed SDSEG2); both use the blocked *posting* format, whose
+// values arrive already bit-packed by the index, so the comparison
+// isolates the segment layer: prefix-compressed keys, block framing and
+// lazy block decode vs the same bytes in one flat run. Both formats store
+// posting values verbatim, so posting_table_size_reduction is close to 1.
 //
 // Reported:
 //   - on-disk bytes of the posting (index_p*) tables and of all segments
@@ -44,8 +46,8 @@ std::string ActName(const char* prefix, size_t i) {
 // Same incident-window shape as bench_posting_blocks, but on an
 // epoch-millisecond clock: hot pairs occur in every trace, each rare
 // activity opens one narrow band of trace ids. Timestamps matter here —
-// the FOR columns of the segment codec are exercised at the magnitudes a
-// real deployment stores.
+// the bit-packed posting columns are exercised at the magnitudes a real
+// deployment stores.
 eventlog::EventLog SkewedLog(size_t traces, uint64_t seed) {
   eventlog::EventLog log;
   Rng rng(seed);

@@ -1,7 +1,5 @@
 #include "common/coding.h"
 
-#include <bit>
-#include <cstring>
 
 namespace seqdet {
 
@@ -41,85 +39,6 @@ bool GetVarint32(std::string_view* input, uint32_t* v) {
     }
   }
   return false;
-}
-
-const char* DecodeVarint64Array(const char* p, const char* limit, size_t n,
-                                uint64_t* out) {
-  const unsigned char* cur = reinterpret_cast<const unsigned char*>(p);
-  const unsigned char* end = reinterpret_cast<const unsigned char*>(limit);
-  for (size_t i = 0; i < n; ++i) {
-    if (end - cur >= 10) {
-      uint64_t byte = *cur;
-      if ((byte & 0x80) == 0) {
-        // 1-byte fast path: postings deltas/durations are usually < 128.
-        out[i] = byte;
-        ++cur;
-        continue;
-      }
-      // Word-at-a-time path for varints of 2..8 bytes (zigzag epoch-ms
-      // timestamps encode to 6): one unaligned load, find the terminator
-      // byte from the continuation bits, then compact the 7-bit groups
-      // with three shift-mask rounds instead of a per-byte loop.
-      uint64_t word;
-      std::memcpy(&word, cur, sizeof(word));
-      uint64_t stops = ~word & 0x8080808080808080ull;
-      if (stops != 0) {
-        unsigned len_bits = (std::countr_zero(stops) & ~7u) + 8;
-        uint64_t keep =
-            len_bits == 64 ? word : word & ((uint64_t{1} << len_bits) - 1);
-        uint64_t x = keep & 0x7f7f7f7f7f7f7f7full;
-        x = (x & 0x007f007f007f007full) | ((x & 0x7f007f007f007f00ull) >> 1);
-        x = (x & 0x00003fff00003fffull) | ((x & 0x3fff00003fff0000ull) >> 2);
-        x = (x & 0x000000000fffffffull) | ((x & 0x0fffffff00000000ull) >> 4);
-        out[i] = x;
-        cur += len_bits >> 3;
-        continue;
-      }
-      // 9-10 byte varint: rare; at most 10 bytes are available, so the
-      // overlong guard fires before an 11th read.
-      uint64_t result = byte & 0x7f;
-      ++cur;
-      int shift = 7;
-      for (;;) {
-        if (shift > 63) return nullptr;
-        byte = *cur;
-        ++cur;
-        if (byte & 0x80) {
-          result |= (byte & 0x7f) << shift;
-          shift += 7;
-        } else {
-          result |= byte << shift;
-          break;
-        }
-      }
-      out[i] = result;
-      continue;
-    }
-    if (cur >= end) return nullptr;
-    uint64_t byte = *cur;
-    if ((byte & 0x80) == 0) {
-      out[i] = byte;
-      ++cur;
-      continue;
-    }
-    uint64_t result = byte & 0x7f;
-    ++cur;
-    int shift = 7;
-    for (;;) {
-      if (cur >= end || shift > 63) return nullptr;
-      byte = *cur;
-      ++cur;
-      if (byte & 0x80) {
-        result |= (byte & 0x7f) << shift;
-        shift += 7;
-      } else {
-        result |= byte << shift;
-        break;
-      }
-    }
-    out[i] = result;
-  }
-  return reinterpret_cast<const char*>(cur);
 }
 
 bool GetVarint64(std::string_view* input, uint64_t* v) {

@@ -71,26 +71,6 @@ void PutVarint64(std::string* dst, uint64_t v);
 bool GetVarint32(std::string_view* input, uint32_t* v);
 bool GetVarint64(std::string_view* input, uint64_t* v);
 
-/// Batch varint decode: reads exactly `n` LEB128 varints starting at `p`
-/// (never past `limit`) into `out[0..n)`. Returns the first byte after the
-/// last varint, or nullptr on truncation/overlong input. One tight loop
-/// with a branch-predictable fast path for 1-byte varints — measurably
-/// faster than n calls through the string_view cursor API when decoding
-/// whole posting blocks.
-const char* DecodeVarint64Array(const char* p, const char* limit, size_t n,
-                                uint64_t* out);
-
-/// Cursor-style wrapper over DecodeVarint64Array: decodes `n` varints and
-/// advances `input` past them; false (cursor unchanged) on malformed data.
-inline bool GetVarint64Batch(std::string_view* input, size_t n,
-                             uint64_t* out) {
-  const char* end = DecodeVarint64Array(
-      input->data(), input->data() + input->size(), n, out);
-  if (end == nullptr) return false;
-  input->remove_prefix(static_cast<size_t>(end - input->data()));
-  return true;
-}
-
 /// ZigZag maps signed integers to unsigned so small magnitudes stay short.
 inline uint64_t ZigZagEncode64(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);

@@ -160,23 +160,15 @@ Result<std::vector<PairOccurrence>> PairIndexTable::Get(
 
 namespace {
 
-// Non-final folded blocks carry exactly the encoder's per-block posting
-// count; mirror EncodePostingBlocks' sizing here so the needs-fold test is
-// stable (a freshly folded value never re-triggers).
-size_t PostingsPerFoldedBlock(size_t target_block_bytes) {
-  constexpr size_t kEstimatedPostingBytes = 12;
-  return std::max<size_t>(
-      1, std::max<size_t>(target_block_bytes, kEstimatedPostingBytes) /
-             kEstimatedPostingBytes);
-}
-
 // True when the block sequence is not what a fold would produce: blocks
 // whose trace ranges overlap a predecessor (append fragments interleave
 // traces) or non-final blocks below the fold's per-block posting count.
 bool BlocksNeedFold(const std::vector<PostingBlockRef>& refs,
                     size_t target_block_bytes) {
   if (refs.size() <= 1) return false;
-  const size_t per_block = PostingsPerFoldedBlock(target_block_bytes);
+  // Non-final folded blocks hold exactly PostingsPerBlock postings, so a
+  // freshly folded value never re-triggers.
+  const size_t per_block = PostingsPerBlock(target_block_bytes);
   for (size_t i = 0; i < refs.size(); ++i) {
     if (i > 0 && refs[i].header.min_trace < refs[i - 1].header.max_trace) {
       return true;
@@ -289,8 +281,8 @@ Status PairIndexTable::UpgradeToBlocked(size_t target_block_bytes,
     Status s = table_->RewriteValue(
         key, [&](std::string_view current, std::string* rewritten) {
           // Roll-forward tolerance: a value this pass (or an interrupted
-          // predecessor) already rewrote parses as valid v2 blocks — keep
-          // its v2 decoding. Everything else is v1. A flat stream that
+          // predecessor) already rewrote parses as valid v3 blocks — keep
+          // its v3 decoding. Everything else is v1. A flat stream that
           // accidentally forms a valid block chain is astronomically
           // unlikely (header counts must match payload byte lengths
           // exactly across every block); DESIGN.md §9 documents the

@@ -57,12 +57,16 @@ class SeqTable {
 
 /// Posting-list value format versions (persisted in the meta table as
 /// `posting_format` and fixed per index, never mixed within one value).
-///  * v1: flat varint posting stream (the seed format);
-///  * v2: block-structured with skip headers (posting_blocks.h). Appends
-///    write mini-blocks; FoldPostings() rewrites fragment piles into
-///    globally sorted target-size blocks.
+///  * 1: flat varint posting stream (the seed format); FoldPostings()
+///    upgrades it in place to 3;
+///  * 2: retired (blocks with varint payloads); such an index does not
+///    open and must be rebuilt;
+///  * 3: block-structured with skip headers and bit-packed payloads
+///    (posting_blocks.h). Appends write mini-blocks; FoldPostings()
+///    rewrites fragment piles into globally sorted target-size blocks.
 inline constexpr uint32_t kPostingFormatFlat = 1;
-inline constexpr uint32_t kPostingFormatBlocked = 2;
+inline constexpr uint32_t kPostingFormatRetiredVarintBlocks = 2;
+inline constexpr uint32_t kPostingFormatBlocked = 3;
 
 /// Progress counters of one fold pass (PairIndexTable::FoldAll /
 /// UpgradeToBlocked, CountTable::FoldAll).
@@ -114,7 +118,7 @@ class PairIndexTable {
                              std::vector<PairOccurrence>* out);
 
   /// Encodes `postings` as one value fragment in this table's format
-  /// (flat stream for v1, block sequence for v2). v2 requires sorted
+  /// (flat stream for v1, block sequence for v3). v3 requires sorted
   /// input; unsorted postings are sorted into a local copy first.
   void EncodeValue(const std::vector<PairOccurrence>& postings,
                    std::string* out) const;
@@ -135,7 +139,7 @@ class PairIndexTable {
   /// Incremental maintenance fold: rewrites each key whose value has
   /// accumulated append fragments into one globally sorted value in the
   /// table's *current* format (sorted flat stream for v1, sorted
-  /// ~target_block_bytes blocks for v2). Each key commits atomically
+  /// ~target_block_bytes blocks for v3). Each key commits atomically
   /// through Kv::RewriteValue(), so the pass is safe to run concurrently
   /// with writers and readers: a concurrent Detect sees either the old
   /// fragments or the folded value, and appends landing mid-pass are
@@ -145,26 +149,26 @@ class PairIndexTable {
   Status FoldAll(size_t target_block_bytes = kDefaultPostingBlockBytes,
                  FoldStats* stats = nullptr, const FoldPace& pace = {});
 
-  /// v1 -> v2 upgrade: rewrites every key as globally sorted v2 blocks and
+  /// v1 -> v3 upgrade: rewrites every key as globally sorted v3 blocks and
   /// switches this table object to the blocked format. Each key commits
   /// atomically, but the pass as a whole is not format-atomic — the caller
   /// must bracket it with a durable upgrade marker (SequenceIndex does)
   /// so an interrupted upgrade is rolled forward on reopen, and must not
-  /// serve reads mid-pass (values are temporarily mixed v1/v2). Values
-  /// that already parse as valid v2 blocks are re-encoded from their v2
+  /// serve reads mid-pass (values are temporarily mixed v1/v3). Values
+  /// that already parse as valid v3 blocks are re-encoded from their v3
   /// decoding, which makes the pass idempotent for roll-forward.
   Status UpgradeToBlocked(size_t target_block_bytes =
                               kDefaultPostingBlockBytes,
                           FoldStats* stats = nullptr,
                           const FoldPace& pace = {});
 
-  /// True when a fold pass would rewrite `value`: v2 values whose blocks
+  /// True when a fold pass would rewrite `value`: v3 values whose blocks
   /// overlap in trace range (append fragments) or run undersized, v1
   /// values whose posting stream is not sorted. Fold output is stable —
   /// a freshly folded value never needs folding again.
   bool NeedsFold(std::string_view value, size_t target_block_bytes) const;
 
-  /// Scans block headers (v2) or value shapes (v1) to report how
+  /// Scans block headers (v3) or value shapes (v1) to report how
   /// fragmented the stored posting lists currently are. Read-only.
   Result<PostingFragmentation> Fragmentation(
       size_t target_block_bytes = kDefaultPostingBlockBytes) const;

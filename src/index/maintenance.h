@@ -78,7 +78,7 @@ struct MaintenanceStats {
 /// Update()/Detect()/DetectBatch(); Stop() quiesces by finishing the
 /// in-flight key and aborting the rest of the pass via the pace callback.
 ///
-/// The service never runs the v1 -> v2 format upgrade (that rewires the
+/// The service never runs the v1 -> v3 format upgrade (that rewires the
 /// decode path and must not race reads); on a v1 index cycles do
 /// format-preserving sorted-flat folds and the upgrade stays an explicit
 /// FoldPostings() / `seqdet fold` call.

@@ -1,12 +1,60 @@
 #include "index/posting_blocks.h"
 
 #include <algorithm>
+#include <cstdint>
 
+#include "common/bitpack.h"
 #include "common/coding.h"
 
 namespace seqdet::index {
 
 namespace {
+
+// Postings per FOR group: small enough that one outlier cannot widen a
+// whole block's columns, large enough to amortize the per-column frame
+// (varint minimum + width byte).
+constexpr size_t kGroupSize = 128;
+
+// Smallest encoding of one group: a 1-byte slope and three columns of a
+// 1-byte minimum and a width byte (width 0 packs no bits). Bounds the
+// posting count a header may claim for its payload size.
+constexpr uint64_t kMinGroupBytes = 7;
+
+// Appends one FOR column: varint frame minimum, width byte, then each
+// value's offset from the minimum packed at that width.
+void PutForColumn(const uint64_t* values, size_t n, std::string* out) {
+  uint64_t min_v = values[0], max_v = values[0];
+  for (size_t i = 1; i < n; ++i) {
+    min_v = std::min(min_v, values[i]);
+    max_v = std::max(max_v, values[i]);
+  }
+  const uint32_t bits = BitsNeeded(max_v - min_v);
+  PutVarint64(out, min_v);
+  out->push_back(static_cast<char>(bits));
+  BitPacker packer(out);
+  for (size_t i = 0; i < n; ++i) packer.Put(values[i] - min_v, bits);
+  packer.Finish();
+}
+
+// Reads one FOR column into out[0..n) as offsets from the frame minimum,
+// which goes to *min_v (the caller adds it while combining columns).
+bool GetForColumn(std::string_view* input, size_t n, uint64_t* min_v,
+                  uint64_t* out) {
+  if (!GetVarint64(input, min_v) || input->empty()) return false;
+  const uint32_t bits = static_cast<unsigned char>(input->front());
+  input->remove_prefix(1);
+  return UnpackBits(input, n, bits, out);
+}
+
+// The ms-per-trace slope of one group: the ts_first advance across the
+// group over its trace span. Only a predictor — encoder and decoder agree
+// on it through the stored value, so any slope round-trips; the wrapped
+// difference keeps extreme timestamps free of signed overflow.
+int64_t GroupSlope(uint64_t prev_ts, uint64_t last_ts, uint64_t span) {
+  if (span == 0 || span > static_cast<uint64_t>(INT64_MAX)) return 0;
+  return static_cast<int64_t>(last_ts - prev_ts) /
+         static_cast<int64_t>(span);
+}
 
 // Encodes postings[begin, end) as one block appended to *out. The slice
 // must be sorted by (trace, ts_first, ts_second).
@@ -14,17 +62,40 @@ void EncodeOneBlock(const std::vector<PairOccurrence>& postings, size_t begin,
                     size_t end, std::string* out) {
   int64_t min_ts = postings[begin].ts_first;
   int64_t max_ts = postings[begin].ts_second;
-  std::string payload;
-  uint64_t previous_trace = postings[begin].trace;
   for (size_t i = begin; i < end; ++i) {
-    const PairOccurrence& p = postings[i];
-    min_ts = std::min(min_ts, p.ts_first);
-    max_ts = std::max(max_ts, p.ts_second);
-    PutVarint64(&payload, p.trace - previous_trace);
-    previous_trace = p.trace;
-    PutVarint64SignedZigZag(&payload, p.ts_first);
-    PutVarint64(&payload,
-                static_cast<uint64_t>(p.ts_second - p.ts_first));
+    min_ts = std::min(min_ts, postings[i].ts_first);
+    max_ts = std::max(max_ts, postings[i].ts_second);
+  }
+  std::string payload;
+  uint64_t trace_delta[kGroupSize], ts_residual[kGroupSize],
+      duration[kGroupSize];
+  uint64_t prev_trace = postings[begin].trace;
+  uint64_t prev_ts = static_cast<uint64_t>(min_ts);
+  for (size_t group = begin; group < end; group += kGroupSize) {
+    const size_t n = std::min(kGroupSize, end - group);
+    uint64_t span = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const PairOccurrence& p = postings[group + i];
+      trace_delta[i] = p.trace - prev_trace;
+      duration[i] = static_cast<uint64_t>(p.ts_second) -
+                    static_cast<uint64_t>(p.ts_first);
+      span += trace_delta[i];
+      prev_trace = p.trace;
+    }
+    const int64_t slope = GroupSlope(
+        prev_ts, static_cast<uint64_t>(postings[group + n - 1].ts_first),
+        span);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t ts = static_cast<uint64_t>(postings[group + i].ts_first);
+      const uint64_t predicted =
+          prev_ts + static_cast<uint64_t>(slope) * trace_delta[i];
+      ts_residual[i] = ZigZagEncode64(static_cast<int64_t>(ts - predicted));
+      prev_ts = ts;
+    }
+    PutVarint64SignedZigZag(&payload, slope);
+    PutForColumn(trace_delta, n, &payload);
+    PutForColumn(ts_residual, n, &payload);
+    PutForColumn(duration, n, &payload);
   }
   PutVarint64(out, postings[begin].trace);
   PutVarint64(out, postings[end - 1].trace);
@@ -37,15 +108,14 @@ void EncodeOneBlock(const std::vector<PairOccurrence>& postings, size_t begin,
 
 }  // namespace
 
+size_t PostingsPerBlock(size_t target_block_bytes) {
+  constexpr size_t kEstimatedPostingBytes = 12;
+  return std::max<size_t>(1, target_block_bytes / kEstimatedPostingBytes);
+}
+
 void EncodePostingBlocks(const std::vector<PairOccurrence>& postings,
                          size_t target_block_bytes, std::string* out) {
-  if (postings.empty()) return;
-  // A posting costs at most 3 * 10 varint bytes; size blocks by a cheap
-  // per-posting estimate instead of measuring mid-encode.
-  constexpr size_t kEstimatedPostingBytes = 12;
-  size_t per_block = std::max<size_t>(
-      1, std::max<size_t>(target_block_bytes, kEstimatedPostingBytes) /
-             kEstimatedPostingBytes);
+  const size_t per_block = PostingsPerBlock(target_block_bytes);
   for (size_t begin = 0; begin < postings.size(); begin += per_block) {
     size_t end = std::min(postings.size(), begin + per_block);
     EncodeOneBlock(postings, begin, end, out);
@@ -66,10 +136,11 @@ bool ParsePostingBlockRefs(std::string_view value,
         !GetVarint64(&value, &h.count) || !GetVarint64(&value, &h.byte_len) ||
         h.count == 0 || h.min_trace > h.max_trace ||
         h.byte_len > value.size() ||
-        // A posting is at least 3 varint bytes; a count that exceeds this
-        // bound is corruption, and rejecting it here keeps downstream
-        // count-sized allocations safe.
-        h.count > h.byte_len / 3) {
+        // A count the payload cannot hold even at the smallest group
+        // encoding is corruption; rejecting it here keeps downstream
+        // count-sized allocations bounded by the value size.
+        h.count / kGroupSize + (h.count % kGroupSize != 0) >
+            h.byte_len / kMinGroupBytes) {
       out->clear();
       return false;
     }
@@ -83,51 +154,49 @@ bool ParsePostingBlockRefs(std::string_view value,
 bool DecodePostingBlockPayload(std::string_view payload,
                                const PostingBlockHeader& header,
                                std::vector<PairOccurrence>* out) {
-  // A posting is three consecutive varints (trace_delta, zigzag ts_first,
-  // duration); batch-decoding whole chunks through the tight
-  // DecodeVarint64Array loop beats three cursor calls per posting on the
-  // hot Detect path.
-  constexpr size_t kChunkPostings = 256;
-  uint64_t scratch[kChunkPostings * 3];
-  uint64_t trace = header.min_trace;
   const size_t base = out->size();
-  out->resize(base + header.count);
-  PairOccurrence* dst = out->data() + base;
-  uint64_t remaining = header.count;
-  while (remaining > 0) {
-    size_t n =
-        static_cast<size_t>(std::min<uint64_t>(kChunkPostings, remaining));
-    if (!GetVarint64Batch(&payload, n * 3, scratch)) {
+  uint64_t trace_delta[kGroupSize], ts_residual[kGroupSize],
+      duration[kGroupSize];
+  uint64_t trace = header.min_trace;
+  uint64_t ts = static_cast<uint64_t>(header.min_ts);
+  for (uint64_t left = header.count; left > 0;) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(kGroupSize, left));
+    int64_t slope = 0;
+    uint64_t trace_min = 0, residual_min = 0, duration_min = 0;
+    if (!GetVarint64SignedZigZag(&payload, &slope) ||
+        !GetForColumn(&payload, n, &trace_min, trace_delta) ||
+        !GetForColumn(&payload, n, &residual_min, ts_residual) ||
+        !GetForColumn(&payload, n, &duration_min, duration)) {
       out->resize(base);
       return false;
     }
+    // Each posting is written once, by push_back (no zero-fill first);
+    // callers reserve the block counts.
     for (size_t i = 0; i < n; ++i) {
-      trace += scratch[3 * i];
-      int64_t ts_first = ZigZagDecode64(scratch[3 * i + 1]);
-      dst->trace = trace;
-      dst->ts_first = ts_first;
-      dst->ts_second = ts_first + static_cast<int64_t>(scratch[3 * i + 2]);
-      ++dst;
+      const uint64_t delta = trace_min + trace_delta[i];
+      trace += delta;
+      ts += static_cast<uint64_t>(slope) * delta +
+            static_cast<uint64_t>(
+                ZigZagDecode64(residual_min + ts_residual[i]));
+      out->push_back(PairOccurrence{
+          trace, static_cast<int64_t>(ts),
+          static_cast<int64_t>(ts + duration_min + duration[i])});
     }
-    remaining -= n;
+    left -= n;
   }
-  if (!payload.empty()) {
+  if (!payload.empty() || trace != header.max_trace) {
     out->resize(base);
     return false;
   }
   return true;
 }
 
-bool DecodeBlockedPostings(std::string_view value,
-                           std::vector<PairOccurrence>* out) {
-  std::vector<PostingBlockRef> refs;
-  if (!ParsePostingBlockRefs(value, &refs)) {
-    out->clear();
-    return false;
-  }
+bool DecodePostingBlocks(std::string_view value,
+                         const std::vector<PostingBlockRef>& refs,
+                         std::vector<PairOccurrence>* out) {
   uint64_t total = 0;
   for (const PostingBlockRef& ref : refs) total += ref.header.count;
-  // Grow once: per-block resizes would re-copy the accumulated prefix on
+  // Grow once: per-block growth would re-copy the accumulated prefix on
   // every reallocation.
   out->reserve(out->size() + total);
   for (const PostingBlockRef& ref : refs) {
@@ -140,6 +209,16 @@ bool DecodeBlockedPostings(std::string_view value,
     }
   }
   return true;
+}
+
+bool DecodeBlockedPostings(std::string_view value,
+                           std::vector<PairOccurrence>* out) {
+  std::vector<PostingBlockRef> refs;
+  if (!ParsePostingBlockRefs(value, &refs)) {
+    out->clear();
+    return false;
+  }
+  return DecodePostingBlocks(value, refs, out);
 }
 
 TraceIntervalSet TraceIntervalSet::FromIntervals(

@@ -11,37 +11,64 @@
 
 namespace seqdet::index {
 
-/// v2 posting-list value format: a concatenation of self-describing blocks.
+/// Blocked posting-list value format (`posting_format` 3): a
+/// concatenation of self-describing blocks whose payloads are bit-packed
+/// frame-of-reference (FOR) columns. This is the only posting codec: the
+/// bytes written here are the bytes the storage layer keeps on disk and
+/// the bytes the read path decodes.
 ///
-///   value  := block*
-///   block  := header payload
-///   header := varint  min_trace
-///             varint  max_trace        (>= min_trace)
-///             zigzag64 min_ts          (min ts_first in the block)
-///             zigzag64 max_ts          (max ts_second in the block)
-///             varint  count            (postings in the payload, > 0)
-///             varint  byte_len         (payload bytes)
-///   payload := count * (varint trace_delta, zigzag64 ts_first,
-///                       varint duration)
+///   value   := block*
+///   block   := header payload
+///   header  := varint   min_trace
+///              varint   max_trace      (>= min_trace)
+///              zigzag64 min_ts         (min ts_first in the block)
+///              zigzag64 max_ts         (max ts_second in the block)
+///              varint   count          (postings in the payload, > 0)
+///              varint   byte_len       (payload bytes)
+///   payload := group{ceil(count / 128)}
+///   group   := zigzag64 slope          (ms per trace id, the predictor)
+///              column trace_delta
+///              column ts_residual
+///              column duration
+///   column  := varint frame_min, u8 width (0..64),
+///              n fields of `width` bits, little-endian packed, padded to
+///              a byte (n = postings in the group, 128 but the last)
 ///
-/// Within a block postings are sorted by (trace, ts_first, ts_second);
-/// trace_delta is the difference to the previous posting's trace (to
-/// min_trace for the first posting) and duration = ts_second - ts_first
-/// (non-negative by the index invariant). The header alone supports two
-/// skip decisions without touching the payload: trace-range pruning
-/// ([min_trace, max_trace] vs a candidate set) and time-range pruning
-/// ([min_ts, max_ts] vs a query window).
+/// Within a block postings are sorted by (trace, ts_first, ts_second).
+/// Each field stores `value - frame_min`. trace_delta is the difference
+/// to the previous posting's trace (to min_trace for the first posting),
+/// so the last posting's trace equals max_trace. duration = ts_second -
+/// ts_first (non-negative by the index invariant). ts_first is coded
+/// against a linear trace predictor: trace ids correlate with arrival
+/// time, so each group stores its observed ms-per-trace slope and each
+/// row the zigzag residual `ts_first - prev_ts - slope * trace_delta`,
+/// where prev_ts is the previous posting's ts_first (min_ts for the first
+/// posting of a block). For rows of one trace the residual is the in-trace
+/// gap; for rows that cross traces the slope absorbs the inter-trace jump.
+/// All arithmetic wraps in uint64, so any int64 timestamps round-trip and
+/// corrupt input cannot overflow.
+///
+/// The header alone supports two skip decisions without touching the
+/// payload: trace-range pruning ([min_trace, max_trace] vs a candidate
+/// set) and time-range pruning ([min_ts, max_ts] vs a query window).
 ///
 /// Append fragments written by Update() are themselves one (or more)
 /// blocks, so a stored value is *always* a valid block sequence; only the
 /// global sort across blocks is re-established by FoldPostings(), which
 /// rewrites a fragment pile into globally sorted blocks of
-/// ~target_block_bytes payload each.
+/// PostingsPerBlock(target_block_bytes) postings each.
 
-/// Default payload target of one folded block. ~170 postings at the
-/// typical 12-24 encoded bytes per posting: small enough that trace-range
-/// skips are selective, large enough that header overhead stays < 1%.
+/// Default payload target of one folded block: 341 postings (see
+/// PostingsPerBlock), small enough that trace-range skips are selective,
+/// large enough that header overhead stays < 1%.
 inline constexpr size_t kDefaultPostingBlockBytes = 4096;
+
+/// Postings per folded block for a payload target. Blocks are sized by a
+/// fixed 12-byte-per-posting estimate rather than by the encoded size, so
+/// a block's posting count (and with it skip granularity) does not depend
+/// on how well its postings compress. Every full block of a folded value
+/// holds exactly this many postings; the needs-fold test relies on it.
+size_t PostingsPerBlock(size_t target_block_bytes);
 
 /// Parsed block header.
 struct PostingBlockHeader {
@@ -60,8 +87,8 @@ struct PostingBlockRef {
 };
 
 /// Encodes `postings` (must be sorted by (trace, ts_first, ts_second)) as
-/// a sequence of blocks with ~target_block_bytes payload each, appended to
-/// `*out`. Empty input appends nothing.
+/// a sequence of blocks of PostingsPerBlock(target_block_bytes) postings
+/// each, appended to `*out`. Empty input appends nothing.
 void EncodePostingBlocks(const std::vector<PairOccurrence>& postings,
                          size_t target_block_bytes, std::string* out);
 
@@ -71,15 +98,22 @@ bool ParsePostingBlockRefs(std::string_view value,
                            std::vector<PostingBlockRef>* out);
 
 /// Decodes the payload of one block, appending `header.count` postings to
-/// `*out`. False on malformed data (previously appended postings of other
-/// blocks are the caller's to discard).
+/// `*out`. False on malformed data, with `*out` back at its size on entry
+/// (postings appended for earlier blocks are the caller's to discard).
 bool DecodePostingBlockPayload(std::string_view payload,
                                const PostingBlockHeader& header,
                                std::vector<PairOccurrence>* out);
 
-/// Decodes a whole blocked value. False (and `out` cleared) on corruption.
+/// Decodes a whole blocked value, appending to `*out`. False (and `out`
+/// cleared) on corruption.
 bool DecodeBlockedPostings(std::string_view value,
                            std::vector<PairOccurrence>* out);
+
+/// DecodeBlockedPostings for a value whose headers the caller already
+/// parsed into `refs` (ParsePostingBlockRefs of the same `value`).
+bool DecodePostingBlocks(std::string_view value,
+                         const std::vector<PostingBlockRef>& refs,
+                         std::vector<PairOccurrence>* out);
 
 // ---------------------------------------------------------------------------
 // Trace interval sets — the candidate representation of the block-skip

@@ -25,7 +25,7 @@ constexpr std::string_view kActivitiesKey = "activities";
 constexpr std::string_view kShardCountKey = "shard_count";
 constexpr std::string_view kPolicyKey = "policy";
 constexpr std::string_view kPostingFormatKey = "posting_format";
-// Present (any value) while a v1 -> v2 posting upgrade is in flight. Written
+// Present (any value) while a v1 -> v3 posting upgrade is in flight. Written
 // durably before the first value rewrite and cleared after the format flip,
 // so a crash mid-upgrade is detected and rolled forward on reopen instead
 // of serving mixed-format values with a v1 decoder.
@@ -127,8 +127,15 @@ Status SequenceIndex::OpenTables() {
     if (s.ok()) {
       std::string_view cursor(value);
       uint64_t format = 0;
-      if (!GetVarint64(&cursor, &format) ||
-          (format != kPostingFormatFlat && format != kPostingFormatBlocked)) {
+      if (!GetVarint64(&cursor, &format)) {
+        return Status::Corruption("bad meta posting_format");
+      }
+      if (format == kPostingFormatRetiredVarintBlocks) {
+        return Status::Unsupported(
+            "index stores posting_format 2 (varint posting blocks), which "
+            "this version no longer reads; rebuild the index from its log");
+      }
+      if (format != kPostingFormatFlat && format != kPostingFormatBlocked) {
         return Status::Corruption("bad meta posting_format");
       }
       posting_format_ = static_cast<uint32_t>(format);
@@ -242,10 +249,10 @@ Status SequenceIndex::OpenTables() {
   SEQDET_RETURN_IF_ERROR(LoadDictionary());
   SEQDET_RETURN_IF_ERROR(PersistPeriodCount());
 
-  // Roll forward an interrupted v1 -> v2 posting upgrade before serving
-  // any reads: with the marker set, values may be mixed v1/v2 and neither
+  // Roll forward an interrupted v1 -> v3 posting upgrade before serving
+  // any reads: with the marker set, values may be mixed v1/v3 and neither
   // decoder alone is safe. UpgradePostingFormat is idempotent (values
-  // already rewritten re-encode from their v2 decoding).
+  // already rewritten re-encode from their v3 decoding).
   {
     std::string value;
     Status s = meta_->Get(kPostingUpgradeKey, &value);
@@ -484,8 +491,12 @@ Result<UpdateStats> SequenceIndex::Update(const EventLog& new_events) {
       Status s = table->Apply(b);
       if (!s.ok()) fail(s);
     };
-    // Feed the maintenance thresholds: posting bytes/records staged by this
-    // chunk count as pending fold load until a fold pass consumes them.
+    commit(active_index->table(), index_batch);
+    // Feed the maintenance thresholds: posting bytes/records committed by
+    // this chunk count as pending fold load until a fold pass consumes
+    // them. Counted only once committed: a pass that snapshots the load
+    // must find every counted fragment on disk, or it would consume load
+    // whose fragments it never saw and leave them unfolded.
     if (!index_batch.empty()) {
       uint64_t staged_bytes = 0;
       for (const storage::Record& r : index_batch.records()) {
@@ -495,7 +506,6 @@ Result<UpdateStats> SequenceIndex::Update(const EventLog& new_events) {
       pending_fold_ops_.fetch_add(index_batch.records().size(),
                                   std::memory_order_relaxed);
     }
-    commit(active_index->table(), index_batch);
     if (options_.maintain_seq) commit(seq_->table(), seq_batch);
     if (options_.maintain_counts) {
       storage::WriteBatch count_batch, rcount_batch;
@@ -569,10 +579,17 @@ Result<std::vector<PairOccurrence>> SequenceIndex::ReadPeriodPostings(
       PairIndexTable::EncodeKey(pair), &value);
   if (s.IsNotFound()) return std::vector<PairOccurrence>{};
   SEQDET_RETURN_IF_ERROR(s);
+  return DecodePeriodValue(period, value, nullptr);
+}
+
+Result<std::vector<PairOccurrence>> SequenceIndex::DecodePeriodValue(
+    size_t period, std::string_view value,
+    const std::vector<PostingBlockRef>* refs) const {
   std::vector<PairOccurrence> postings;
-  if (!index_tables_[period]->DecodeValue(value, &postings)) {
-    return Status::Corruption("bad Index posting list");
-  }
+  const bool ok = refs != nullptr
+                      ? DecodePostingBlocks(value, *refs, &postings)
+                      : index_tables_[period]->DecodeValue(value, &postings);
+  if (!ok) return Status::Corruption("bad Index posting list");
   read_counters_.bytes_decoded.fetch_add(value.size(),
                                          std::memory_order_relaxed);
   read_counters_.postings_decoded.fetch_add(postings.size(),
@@ -680,14 +697,17 @@ Result<PairPostingSummary> SequenceIndex::GetPairSummary(
 Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
     const EventTypePair& pair, const TraceIntervalSet& candidates) const {
   const std::string key = PairIndexTable::EncodeKey(pair);
-  auto merged = std::make_shared<std::vector<PairOccurrence>>();
+  // Whole period lists (shared, sorted) and the postings of the blocks
+  // decoded one by one; merged only when there is more than one part.
+  std::vector<PostingCache::Snapshot> wholes;
+  std::vector<PairOccurrence> merged;
   for (size_t p = 0; p < index_tables_.size(); ++p) {
     // Version before bytes — same tagging protocol as the shared path.
     const uint64_t version = index_tables_[p]->table()->Version();
     if (auto whole = cache_.Get(static_cast<uint32_t>(p), pair, version)) {
       // An already decoded full list is cheaper than any selective decode;
       // the extra postings are a harmless superset.
-      merged->insert(merged->end(), whole->begin(), whole->end());
+      wholes.push_back(std::move(whole));
       continue;
     }
     std::string value;
@@ -695,6 +715,8 @@ Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
     if (s.IsNotFound()) continue;
     SEQDET_RETURN_IF_ERROR(s);
     if (index_tables_[p]->format_version() != kPostingFormatBlocked) {
+      // Filter before the final sort: a flat value of append fragments is
+      // unsorted, and sorting only the candidates' postings is cheaper.
       std::vector<PairOccurrence> postings;
       if (!PairIndexTable::DecodePostings(value, &postings)) {
         return Status::Corruption("bad Index posting list");
@@ -704,13 +726,30 @@ Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
       read_counters_.postings_decoded.fetch_add(postings.size(),
                                                 std::memory_order_relaxed);
       for (const PairOccurrence& posting : postings) {
-        if (candidates.Contains(posting.trace)) merged->push_back(posting);
+        if (candidates.Contains(posting.trace)) merged.push_back(posting);
       }
       continue;
     }
     std::vector<PostingBlockRef> refs;
     if (!ParsePostingBlockRefs(value, &refs)) {
       return Status::Corruption("bad Index posting list");
+    }
+    const bool skips_any = std::any_of(
+        refs.begin(), refs.end(), [&](const PostingBlockRef& ref) {
+          return !candidates.Overlaps(ref.header.min_trace,
+                                      ref.header.max_trace);
+        });
+    if (!skips_any) {
+      SEQDET_ASSIGN_OR_RETURN(auto postings,
+                              DecodePeriodValue(p, value, &refs));
+      read_counters_.blocks_decoded.fetch_add(refs.size(),
+                                              std::memory_order_relaxed);
+      PostingCache::Snapshot whole =
+          std::make_shared<const std::vector<PairOccurrence>>(
+              std::move(postings));
+      cache_.Put(static_cast<uint32_t>(p), pair, version, whole);
+      wholes.push_back(std::move(whole));
+      continue;
     }
     for (size_t b = 0; b < refs.size(); ++b) {
       const PostingBlockRef& ref = refs[b];
@@ -741,15 +780,20 @@ Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
         cache_.PutBlock(static_cast<uint32_t>(p), pair,
                         static_cast<uint32_t>(b), version, block);
       }
-      merged->insert(merged->end(), block->begin(), block->end());
+      merged.insert(merged.end(), block->begin(), block->end());
     }
+  }
+  if (wholes.size() == 1 && merged.empty()) return wholes.front();
+  for (const PostingCache::Snapshot& whole : wholes) {
+    merged.insert(merged.end(), whole->begin(), whole->end());
   }
   // Folded blocks are globally sorted but append fragments (and period
   // boundaries) interleave traces; normalize like every other read path.
-  if (!std::is_sorted(merged->begin(), merged->end())) {
-    std::sort(merged->begin(), merged->end());
+  if (!std::is_sorted(merged.begin(), merged.end())) {
+    std::sort(merged.begin(), merged.end());
   }
-  return PostingCache::Snapshot(std::move(merged));
+  return PostingCache::Snapshot(
+      std::make_shared<const std::vector<PairOccurrence>>(std::move(merged)));
 }
 
 Result<std::vector<PostingCache::Snapshot>>
@@ -1077,7 +1121,7 @@ Status SequenceIndex::FoldPostingsIncremental(FoldStats* stats,
 Status SequenceIndex::UpgradePostingFormat(FoldStats* stats,
                                            const FoldPace& pace) {
   // Durable marker first (Flush makes it segment-backed, not just WAL'd):
-  // from here until the marker clears, a crash leaves mixed v1/v2 values
+  // from here until the marker clears, a crash leaves mixed v1/v3 values
   // and reopen must finish the rewrite before serving reads.
   SEQDET_RETURN_IF_ERROR(meta_->Put(kPostingUpgradeKey, "1"));
   SEQDET_RETURN_IF_ERROR(meta_->Flush());

@@ -48,12 +48,12 @@ struct IndexOptions {
   /// Update/compaction bumps the backing table's version. 0 disables.
   size_t cache_bytes = 64u << 20;
   /// Posting-list value format for *newly created* indexes: 0 = default
-  /// (the blocked v2 format), or an explicit kPostingFormatFlat /
+  /// (the blocked v3 format), or an explicit kPostingFormatFlat /
   /// kPostingFormatBlocked. Existing indexes always use their persisted
   /// format (meta `posting_format`; absent = v1) — FoldPostings() is the
   /// upgrade path.
   uint32_t posting_format = 0;
-  /// Target payload bytes of one folded v2 posting block.
+  /// Target payload bytes of one folded v3 posting block.
   size_t posting_block_bytes = kDefaultPostingBlockBytes;
   /// Background auto-fold + compaction service. With
   /// `maintenance.auto_fold` set, Open() starts a MaintenanceService that
@@ -75,7 +75,7 @@ struct IndexReadStats {
 };
 
 /// Header-level description of one pair's posting list across all periods:
-/// the exact posting count (v2) or an estimate (v1, `exact == false`), and
+/// the exact posting count (v3) or an estimate (v1, `exact == false`), and
 /// the union of the blocks' trace-id ranges. For v1 values the trace set
 /// degenerates to "all traces" — flat values carry no skip metadata.
 struct PairPostingSummary {
@@ -172,11 +172,14 @@ class SequenceIndex {
 
   /// Like GetPairPostingsShared restricted to `candidates`: only blocks
   /// whose [min_trace, max_trace] range intersects the candidate set are
-  /// decoded (block-granular cache entries keep hot blocks decoded). The
-  /// result is a sorted *superset* of the candidate traces' postings —
-  /// a whole-list cache hit is returned as-is, and block ranges are
-  /// coarse — so callers must treat extra postings as harmless (the
-  /// Algorithm-2 join does). Never null on success.
+  /// decoded (block-granular cache entries keep hot blocks decoded). A
+  /// period whose every block overlaps the candidates has nothing to skip:
+  /// it is decoded whole, once, into the whole-list cache entry
+  /// GetPairPostingsShared serves. The result is a sorted *superset* of
+  /// the candidate traces' postings — a whole-list entry is returned
+  /// as-is, and block ranges are coarse — so callers must treat extra
+  /// postings as harmless (the Algorithm-2 join does). Never null on
+  /// success.
   Result<PostingCache::Snapshot> GetPairPostingsFiltered(
       const EventTypePair& pair, const TraceIntervalSet& candidates) const;
 
@@ -267,10 +270,10 @@ class SequenceIndex {
 
   /// Maintenance sibling of CompactStatistics for the posting lists:
   /// rewrites every period's append fragments as globally sorted values
-  /// and compacts the tables. On a v2 index this delegates to
+  /// and compacts the tables. On a v3 index this delegates to
   /// FoldPostingsIncremental() (concurrent-safe). On a v1 index it is the
-  /// v1 -> v2 format upgrade: a durable `posting_upgrade` meta marker is
-  /// written first, every value is rewritten as v2 blocks, then the
+  /// v1 -> v3 format upgrade: a durable `posting_upgrade` meta marker is
+  /// written first, every value is rewritten as v3 blocks, then the
   /// persisted `posting_format` advances and the marker is cleared — a
   /// crash anywhere in between is rolled forward on the next Open(). The
   /// upgrade path must not run concurrently with reads or writes (the
@@ -278,7 +281,7 @@ class SequenceIndex {
   Status FoldPostings(FoldStats* stats = nullptr, const FoldPace& pace = {});
 
   /// Format-preserving incremental fold of every period's posting lists
-  /// (sorted flat values on v1, sorted blocks on v2) followed by table
+  /// (sorted flat values on v1, sorted blocks on v3) followed by table
   /// compaction. Safe to run concurrently with Update() and the query read
   /// path: each key commits atomically through the WAL/version protocol,
   /// so a concurrent Detect sees either the old fragments or the folded
@@ -326,7 +329,7 @@ class SequenceIndex {
   Status OpenTables();
   Status PersistPeriodCount();
   Status PersistPostingFormat();
-  /// The marker-bracketed v1 -> v2 rewrite behind FoldPostings(); also the
+  /// The marker-bracketed v1 -> v3 rewrite behind FoldPostings(); also the
   /// roll-forward OpenTables() runs when it finds the marker set.
   Status UpgradePostingFormat(FoldStats* stats, const FoldPace& pace);
   Status LoadDictionary();
@@ -336,6 +339,12 @@ class SequenceIndex {
   /// read-stats accounting.
   Result<std::vector<PairOccurrence>> ReadPeriodPostings(
       size_t period, const EventTypePair& pair) const;
+  /// The decode half of ReadPeriodPostings for a stored `value` already
+  /// read. `refs`, when given, are the value's parsed block headers, so a
+  /// caller that parsed them does not parse them again.
+  Result<std::vector<PairOccurrence>> DecodePeriodValue(
+      size_t period, std::string_view value,
+      const std::vector<PostingBlockRef>* refs) const;
 
   storage::Database* db_;
   IndexOptions options_;

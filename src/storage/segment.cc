@@ -224,9 +224,15 @@ Status Segment::ParseV2() {
         !GetLengthPrefixed(&index, &m.first_key)) {
       return Status::Corruption("truncated segment index");
     }
+    if (codec == kRetiredPostingCodec) {
+      return Status::Corruption(
+          "segment block uses retired codec 1 (posting transcode); rebuild "
+          "the index");
+    }
     if (m.offset != expected_offset || m.disk_size == 0 ||
         m.offset + m.disk_size > index_offset || m.entry_count == 0 ||
-        codec > static_cast<uint64_t>(BlockCodec::kZstd) ||
+        (codec != static_cast<uint64_t>(BlockCodec::kRaw) &&
+         codec != static_cast<uint64_t>(BlockCodec::kZstd)) ||
         m.raw_size > kMaxBlockRawBytes ||
         (static_cast<BlockCodec>(codec) != BlockCodec::kZstd &&
          m.raw_size != m.disk_size)) {
@@ -272,19 +278,17 @@ Result<std::unique_ptr<Segment::DecodedBlock>> Segment::DecodeBlock(
   if (Crc32(disk) != m.crc) {
     return Status::Corruption("segment block checksum mismatch");
   }
-  std::string plain_storage;
-  std::string_view plain;
+  auto block = std::make_unique<DecodedBlock>();
+  std::string_view plain = disk;
   if (m.codec == BlockCodec::kZstd) {
     if (!ZstdAvailable()) {
       return Status::Corruption(
           "segment block uses zstd but support is not compiled in");
     }
-    if (!ZstdDecompressBlock(disk, m.raw_size, &plain_storage)) {
+    if (!ZstdDecompressBlock(disk, m.raw_size, &block->plaintext)) {
       return Status::Corruption("segment block zstd decode failed");
     }
-    plain = plain_storage;
-  } else {
-    plain = disk;
+    plain = block->plaintext;
   }
 
   if (plain.size() < 4) {
@@ -299,18 +303,19 @@ Result<std::unique_ptr<Segment::DecodedBlock>> Segment::DecodeBlock(
   std::string_view cursor =
       plain.substr(0, plain.size() - 4 - num_restarts * 4);
 
-  auto block = std::make_unique<DecodedBlock>();
-  // Views cannot be taken while the arena grows (reallocation would move
-  // it), so entry positions are recorded as offsets first and converted to
+  // Values are views into `plain`, which lives as long as the segment
+  // (the mapped file, the owned buffer or the block's own plaintext).
+  // Keys are prefix-compressed, so they are rebuilt into the block's key
+  // arena; views cannot be taken while it grows (reallocation would move
+  // it), so key positions are recorded as offsets first and converted to
   // string_views once the arena is final.
   struct Pending {
     size_t key_off, key_len;
     RecordKind kind;
-    size_t val_off, val_len;
+    std::string_view value;
   };
   std::vector<Pending> pending;
   pending.reserve(m.entry_count);
-  block->arena.reserve(m.raw_size + m.raw_size / 2);
   std::string prev_key;
   for (uint64_t i = 0; i < m.entry_count; ++i) {
     uint64_t shared, unshared, value_len;
@@ -332,35 +337,21 @@ Result<std::unique_ptr<Segment::DecodedBlock>> Segment::DecodeBlock(
     if (cursor.size() < value_len) {
       return Status::Corruption("truncated segment block value");
     }
-    std::string_view stored_value = cursor.substr(0, value_len);
+    pending.push_back(Pending{block->keys.size(), prev_key.size(),
+                              static_cast<RecordKind>(kind),
+                              cursor.substr(0, value_len)});
+    block->keys.append(prev_key);
     cursor.remove_prefix(value_len);
-
-    Pending p;
-    p.key_off = block->arena.size();
-    p.key_len = prev_key.size();
-    p.kind = static_cast<RecordKind>(kind);
-    block->arena.append(prev_key);
-    p.val_off = block->arena.size();
-    if (m.codec == BlockCodec::kPostingFor) {
-      if (!UntranscodePostingValue(stored_value, &block->arena)) {
-        return Status::Corruption("segment block value decode failed");
-      }
-    } else {
-      block->arena.append(stored_value);
-    }
-    p.val_len = block->arena.size() - p.val_off;
-    pending.push_back(p);
   }
   if (!cursor.empty()) {
     return Status::Corruption("trailing bytes in segment block");
   }
 
   block->entries.reserve(pending.size());
+  const std::string_view keys(block->keys);
   for (const Pending& p : pending) {
-    std::string_view arena(block->arena);
-    block->entries.push_back(EntryRef{arena.substr(p.key_off, p.key_len),
-                                      p.kind,
-                                      arena.substr(p.val_off, p.val_len)});
+    block->entries.push_back(
+        EntryRef{keys.substr(p.key_off, p.key_len), p.kind, p.value});
   }
   if (!block->entries.empty() && block->entries.front().key != m.first_key) {
     return Status::Corruption("segment block first key mismatch");
@@ -452,7 +443,7 @@ Result<Segment::EntryRef> Segment::Entry(size_t pos) const {
 SegmentBuilder::SegmentBuilder(const SegmentWriteOptions& options)
     : options_(options), effective_codec_(options.codec) {
   if (effective_codec_ == BlockCodec::kZstd && !ZstdAvailable()) {
-    effective_codec_ = BlockCodec::kPostingFor;
+    effective_codec_ = BlockCodec::kRaw;
   }
   if (options_.restart_interval == 0) options_.restart_interval = 1;
   buffer_.append(options_.format_version == 1 ? kMagicV1 : kMagicV2);
@@ -483,18 +474,12 @@ Status SegmentBuilder::Add(std::string_view key, RecordKind kind,
     size_t limit = std::min(key.size(), last_key_.size());
     while (shared < limit && key[shared] == last_key_[shared]) ++shared;
   }
-  std::string encoded;
-  std::string_view stored = value;
-  if (effective_codec_ == BlockCodec::kPostingFor) {
-    TranscodePostingValue(value, &encoded);
-    stored = encoded;
-  }
   PutVarint64(&block_, shared);
   PutVarint64(&block_, key.size() - shared);
-  PutVarint64(&block_, stored.size());
+  PutVarint64(&block_, value.size());
   block_.push_back(static_cast<char>(kind));
   block_.append(key.substr(shared));
-  block_.append(stored);
+  block_.append(value);
   keys_.emplace_back(key);
   last_key_.assign(key);
   ++block_entry_count_;

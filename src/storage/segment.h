@@ -26,8 +26,8 @@ struct SegmentWriteOptions {
   size_t block_bytes = 4096;
   /// Entries between key restart points inside a block.
   size_t restart_interval = 16;
-  /// Block codec; kZstd degrades to kPostingFor when zstd is absent.
-  BlockCodec codec = BlockCodec::kPostingFor;
+  /// Block codec; kZstd degrades to kRaw when zstd is absent.
+  BlockCodec codec = BlockCodec::kRaw;
 };
 
 /// Immutable sorted run of folded records, the on-disk unit of a table.
@@ -38,14 +38,16 @@ struct SegmentWriteOptions {
 /// full entry index up front — open cost O(file).
 ///
 /// SDSEG2: entries are grouped into ~4 KiB blocks (prefix-compressed keys
-/// with restart points, per-value posting-FOR or whole-block zstd payload
-/// compression, per-block CRC); a footer carries fence pointers (first key
+/// with restart points, values stored verbatim, optional whole-block zstd,
+/// per-block CRC); a footer carries fence pointers (first key
 /// + offset per block), entry counts and a serialized Bloom filter. The
 /// reader mmaps the file, parses only the footer at open (O(footer)), and
 /// binary-searches fence pointers on reads, decompressing and CRC-checking
 /// just the blocks a Find/LowerBound/Entry touches. Decoded blocks are
 /// cached for the segment's lifetime, so returned EntryRef views stay
-/// valid as long as the segment is alive.
+/// valid as long as the segment is alive. The segment layer stores values
+/// as opaque bytes: posting lists arrive already compressed by the index
+/// (index/posting_blocks.h).
 ///
 /// Because corruption in a lazily-read block is only discovered when that
 /// block is first touched, the read accessors return Result and surface
@@ -116,11 +118,14 @@ class Segment {
     std::string_view first_key;  // view into the footer region of data_
   };
 
-  /// A lazily-decoded block: entry views into an arena materialized on
-  /// first touch, then cached until the segment dies.
+  /// A lazily-decoded block, materialized on first touch and cached until
+  /// the segment dies: the prefix-expanded keys, plus the plaintext of a
+  /// zstd block. Entry values view the segment bytes (or that plaintext)
+  /// directly; no value is copied.
   struct DecodedBlock {
-    std::string arena;
-    std::vector<EntryRef> entries;  // views into arena
+    std::string plaintext;  // kZstd blocks only
+    std::string keys;
+    std::vector<EntryRef> entries;  // views into keys and the block bytes
   };
 
   Segment() : bloom_(0) {}

@@ -10,32 +10,22 @@ namespace seqdet::storage {
 /// Block codecs of the SDSEG2 segment format (see FORMATS.md).
 ///
 /// The codec id is recorded per block in the segment index footer:
-///  - kRaw:        block plaintext stored as-is, values verbatim.
-///  - kPostingFor: values inside the block carry a 1-byte tag; values that
-///                 parse as v2 posting-block sequences are transcoded to a
-///                 frame-of-reference bitpacked-delta layout, everything
-///                 else stays raw behind tag 0. The block framing itself
-///                 (prefix-compressed keys, restarts) is unchanged.
-///  - kZstd:       whole-block zstd of the kRaw plaintext. Only written
-///                 when the library was built against zstd
-///                 (SEQDET_HAVE_ZSTD); builders silently fall back to
-///                 kPostingFor otherwise, readers report Corruption.
+///  - kRaw:  block plaintext stored as-is, values verbatim.
+///  - kZstd: whole-block zstd of the kRaw plaintext. Only written when the
+///           library was built against zstd (SEQDET_HAVE_ZSTD); builders
+///           silently fall back to kRaw otherwise, readers report
+///           Corruption.
+/// Id 1 is retired: it named a per-value posting transcoder. Posting
+/// values now arrive already compressed (index/posting_blocks.h), so the
+/// storage layer stores every value verbatim and knows nothing of
+/// postings; a segment holding a codec-1 block fails to open.
 enum class BlockCodec : uint8_t {
   kRaw = 0,
-  kPostingFor = 1,
   kZstd = 2,
 };
 
-/// Per-value transcode of codec kPostingFor. Appends a tagged encoding of
-/// `value` to `*out`: tag 1 + FOR-compressed posting blocks when `value`
-/// strictly parses as a v2 posting-block sequence AND the transcode
-/// round-trips byte-exactly (verified at build time), else tag 0 + the
-/// original bytes. Never fails.
-void TranscodePostingValue(std::string_view value, std::string* out);
-
-/// Reverses TranscodePostingValue, appending the original value bytes to
-/// `*out`. False on malformed input (`*out` may hold partial data).
-bool UntranscodePostingValue(std::string_view stored, std::string* out);
+/// The retired codec id (see BlockCodec).
+inline constexpr uint64_t kRetiredPostingCodec = 1;
 
 /// Whether whole-block zstd support was compiled in.
 bool ZstdAvailable();

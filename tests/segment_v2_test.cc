@@ -1,7 +1,6 @@
 // SDSEG2 format tests: v1/v2 read compatibility, mmap vs buffered reader
-// equivalence, the posting-FOR block codec (pinned against the index
-// encoder that produces the values it transcodes), batch varint decode,
-// bit packing, and corruption fuzzing (every damage must surface as
+// equivalence, block codec ids (the retired posting codec rejected), bit
+// packing, and corruption fuzzing (every damage must surface as
 // Status::Corruption, never as a crash or wrong data).
 
 #include <unistd.h>
@@ -15,8 +14,8 @@
 
 #include "common/bitpack.h"
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/strings.h"
-#include "index/posting_blocks.h"
 #include "storage/segment.h"
 #include "storage/segment_codec.h"
 
@@ -24,7 +23,6 @@ namespace seqdet {
 namespace {
 
 namespace fs = std::filesystem;
-using storage::BlockCodec;
 using storage::RecordKind;
 using storage::Segment;
 using storage::SegmentBuilder;
@@ -226,119 +224,49 @@ TEST(SegmentV2Test, TruncatedFileOnDiskIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Posting-FOR codec
+// Retired codec id
 // ---------------------------------------------------------------------------
 
-// Builds a realistic blocked posting value through the *index* encoder —
-// the storage transcoder parses exactly this wire format, and this test is
-// what keeps the two sides pinned together.
-std::string MakePostingValue(int n, int64_t base_ts) {
-  std::vector<index::PairOccurrence> postings;
-  postings.reserve(n);
-  uint64_t trace = 7;
-  int64_t ts = base_ts;
-  for (int i = 0; i < n; ++i) {
-    trace += (i % 5 == 0) ? 3 : 0;
-    ts += 1000 + (i % 97);
-    postings.push_back(index::PairOccurrence{trace, ts, ts + 40 + i % 13});
-  }
-  std::string value;
-  index::EncodePostingBlocks(postings, index::kDefaultPostingBlockBytes,
-                             &value);
-  return value;
+// Rewrites the codec id of the first block descriptor in a sealed SDSEG2
+// segment and re-seals the footer checksum, so only the codec is wrong.
+std::string WithFirstBlockCodec(std::string sealed, uint8_t codec) {
+  constexpr size_t kTrailer = 8 + 4 + 8;  // index_offset, index_crc, magic
+  std::string_view trailer =
+      std::string_view(sealed).substr(sealed.size() - kTrailer);
+  uint64_t index_offset = 0;
+  EXPECT_TRUE(GetFixed64(&trailer, &index_offset));
+  const size_t index_end = sealed.size() - kTrailer;
+  std::string_view index = std::string_view(sealed).substr(
+      index_offset, index_end - index_offset);
+  const size_t index_size = index.size();
+  uint64_t num_blocks = 0, offset = 0, disk_size = 0;
+  uint32_t crc = 0;
+  EXPECT_TRUE(GetVarint64(&index, &num_blocks) &&
+              GetVarint64(&index, &offset) &&
+              GetVarint64(&index, &disk_size) && GetFixed32(&index, &crc));
+  EXPECT_GT(num_blocks, 0u);
+  const size_t codec_pos = index_offset + (index_size - index.size());
+  sealed[codec_pos] = static_cast<char>(codec);
+  std::string resealed = sealed.substr(0, index_end);
+  PutFixed64(&resealed, index_offset);
+  PutFixed32(&resealed,
+             Crc32(std::string_view(sealed).substr(
+                 index_offset, index_end - index_offset)));
+  resealed.append(sealed.substr(index_end + 12));
+  return resealed;
 }
 
-TEST(SegmentCodecTest, PostingTranscodeRoundTripsByteExact) {
-  // Epoch-millisecond scale timestamps: the regime the FOR columns are
-  // built for.
-  std::string value = MakePostingValue(3000, 1700000000000);
-  std::string encoded;
-  storage::TranscodePostingValue(value, &encoded);
-  std::string decoded;
-  ASSERT_TRUE(storage::UntranscodePostingValue(encoded, &decoded));
-  EXPECT_EQ(decoded, value);
-  // The whole point: the FOR form must be materially smaller.
-  EXPECT_LT(encoded.size(), value.size());
-}
-
-TEST(SegmentCodecTest, NonPostingValuesFallBackToRaw) {
-  for (const std::string& value :
-       {std::string(""), std::string("hello world"), std::string(300, '\xff'),
-        std::string("\x01\x02\x03")}) {
-    std::string encoded;
-    storage::TranscodePostingValue(value, &encoded);
-    std::string decoded;
-    ASSERT_TRUE(storage::UntranscodePostingValue(encoded, &decoded));
-    EXPECT_EQ(decoded, value);
-  }
-}
-
-TEST(SegmentCodecTest, SegmentStoresPostingValuesSmallerThanV1) {
-  // An apples-to-apples segment pair holding posting-list values: v2 with
-  // the posting-FOR codec must be materially smaller than flat v1.
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int i = 0; i < 64; ++i) {
-    entries.emplace_back(StringPrintf("p0|%04d|%04d", i, i + 1),
-                         MakePostingValue(500, 1700000000000 + i));
-  }
-  SegmentWriteOptions v1;
-  v1.format_version = 1;
-  std::string sealed_v1 = BuildSegment(entries, v1);
-  std::string sealed_v2 = BuildSegment(entries, {});
-  EXPECT_LT(sealed_v2.size() * 2, sealed_v1.size())
-      << "v2=" << sealed_v2.size() << " v1=" << sealed_v1.size();
-
-  auto segment = Segment::FromBuffer(sealed_v2);
-  ASSERT_TRUE(segment.ok()) << segment.status();
-  ExpectReadsAllEntries(**segment, entries);
-  // Decoded values must parse back through the index decoder.
-  auto e = (*segment)->Find(entries[3].first);
-  ASSERT_TRUE(e.ok());
-  ASSERT_NE(*e, nullptr);
-  std::vector<index::PairOccurrence> postings;
-  EXPECT_TRUE(index::DecodeBlockedPostings((*e)->value, &postings));
-  EXPECT_EQ(postings.size(), 500u);
-}
-
-// ---------------------------------------------------------------------------
-// Batch varint decode
-// ---------------------------------------------------------------------------
-
-TEST(BatchVarintTest, MatchesScalarDecode) {
-  std::vector<uint64_t> values;
-  for (uint64_t v :
-       {0ull, 1ull, 127ull, 128ull, 300ull, 1ull << 20, 1ull << 35,
-        (1ull << 63) + 5, ~0ull}) {
-    values.push_back(v);
-  }
-  for (int i = 0; i < 100; ++i) values.push_back(i * 2654435761u);
-  std::string encoded;
-  for (uint64_t v : values) PutVarint64(&encoded, v);
-
-  std::vector<uint64_t> batch(values.size());
-  std::string_view cursor(encoded);
-  ASSERT_TRUE(GetVarint64Batch(&cursor, values.size(), batch.data()));
-  EXPECT_TRUE(cursor.empty());
-  EXPECT_EQ(batch, values);
-}
-
-TEST(BatchVarintTest, TruncatedInputFailsWithoutAdvancing) {
-  std::string encoded;
-  PutVarint64(&encoded, 1);
-  PutVarint64(&encoded, 1ull << 40);
-  std::string truncated = encoded.substr(0, encoded.size() - 1);
-  uint64_t out[2];
-  std::string_view cursor(truncated);
-  EXPECT_FALSE(GetVarint64Batch(&cursor, 2, out));
-  EXPECT_EQ(cursor.size(), truncated.size());  // cursor untouched on failure
-}
-
-TEST(BatchVarintTest, OverlongVarintRejected) {
-  std::string encoded(10, '\x80');  // continuation forever
-  encoded.push_back('\x02');
-  uint64_t out[1];
-  std::string_view cursor(encoded);
-  EXPECT_FALSE(GetVarint64Batch(&cursor, 1, out));
+TEST(SegmentCodecTest, RetiredPostingCodecFailsCleanly) {
+  auto entries = MakeEntries(50);
+  std::string sealed = BuildSegment(entries, {});
+  ASSERT_TRUE(Segment::FromBuffer(WithFirstBlockCodec(sealed, 0)).ok());
+  auto segment = Segment::FromBuffer(WithFirstBlockCodec(
+      sealed, static_cast<uint8_t>(storage::kRetiredPostingCodec)));
+  ASSERT_FALSE(segment.ok());
+  EXPECT_TRUE(segment.status().IsCorruption()) << segment.status();
+  EXPECT_NE(segment.status().ToString().find("retired codec"),
+            std::string::npos)
+      << segment.status();
 }
 
 // ---------------------------------------------------------------------------
@@ -347,23 +275,30 @@ TEST(BatchVarintTest, OverlongVarintRejected) {
 
 TEST(BitpackTest, RoundTripAllWidths) {
   for (uint32_t bits = 0; bits <= 64; ++bits) {
-    std::vector<uint64_t> values;
-    uint64_t mask =
-        bits >= 64 ? ~0ull : ((uint64_t{1} << bits) - 1);
-    for (int i = 0; i < 40; ++i) {
-      values.push_back((i * 0x9e3779b97f4a7c15ull) & mask);
-    }
-    std::string packed;
-    BitPacker packer(&packed);
-    for (uint64_t v : values) packer.Put(v, bits);
-    packer.Finish();
-    EXPECT_LE(packed.size(), (values.size() * bits + 7) / 8 + 1);
+    for (size_t count : {size_t{1}, size_t{7}, size_t{40}, size_t{128}}) {
+      std::vector<uint64_t> values;
+      uint64_t mask = bits >= 64 ? ~0ull : ((uint64_t{1} << bits) - 1);
+      for (size_t i = 0; i < count; ++i) {
+        values.push_back((i * 0x9e3779b97f4a7c15ull) & mask);
+      }
+      values.back() = mask;  // the widest field of the width
+      std::string packed;
+      BitPacker packer(&packed);
+      for (uint64_t v : values) packer.Put(v, bits);
+      packer.Finish();
+      EXPECT_EQ(packed.size(), (values.size() * bits + 7) / 8);
 
-    BitUnpacker unpacker(packed);
-    for (size_t i = 0; i < values.size(); ++i) {
-      uint64_t v = 0;
-      ASSERT_TRUE(unpacker.Get(bits, &v)) << "bits=" << bits << " i=" << i;
-      EXPECT_EQ(v, values[i]) << "bits=" << bits << " i=" << i;
+      // Exactly the packed bytes (every load near the end takes the
+      // byte-wise path) and with trailing bytes (the word-wise path).
+      for (size_t tail : {size_t{0}, size_t{9}}) {
+        std::string input = packed + std::string(tail, '\xa5');
+        std::string_view cursor(input);
+        std::vector<uint64_t> out(values.size());
+        ASSERT_TRUE(UnpackBits(&cursor, values.size(), bits, out.data()))
+            << "bits=" << bits << " count=" << count;
+        EXPECT_EQ(out, values) << "bits=" << bits << " count=" << count;
+        EXPECT_EQ(cursor.size(), tail);
+      }
     }
   }
 }
@@ -372,12 +307,17 @@ TEST(BitpackTest, UnderrunFails) {
   std::string packed;
   BitPacker packer(&packed);
   packer.Put(0x3ff, 10);
+  packer.Put(0x155, 10);
   packer.Finish();
-  BitUnpacker unpacker(packed);
-  uint64_t v = 0;
-  ASSERT_TRUE(unpacker.Get(10, &v));
-  EXPECT_EQ(v, 0x3ffu);
-  EXPECT_FALSE(unpacker.Get(10, &v));
+  uint64_t out[2] = {0, 0};
+  std::string_view cursor(packed);
+  ASSERT_TRUE(UnpackBits(&cursor, 1, 10, out));
+  EXPECT_EQ(out[0], 0x3ffu);
+  std::string_view short_input(packed.data(), 2);
+  EXPECT_FALSE(UnpackBits(&short_input, 2, 10, out));
+  EXPECT_EQ(short_input.size(), 2u);  // untouched on failure
+  std::string_view bad_width(packed);
+  EXPECT_FALSE(UnpackBits(&bad_width, 1, 65, out));
 }
 
 }  // namespace

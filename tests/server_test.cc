@@ -623,16 +623,26 @@ TEST(QueryServiceTest, AdmissionControlSheds503) {
     auto response = client.Get("/debug/sleep?ms=2000&deadline_ms=400");
     EXPECT_TRUE(response.ok());
   });
-  HttpClient probe(server.port());
-  Result<HttpClient::Response> shed = Status::Internal("unset");
-  // Poll until the holder's request actually occupies the slot (the two
-  // requests race through independent connections).
-  for (int i = 0; i < 200; ++i) {
-    shed = probe.Get("/detect?q=search+-%3E+cart");
-    ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-    if (shed->status == 503) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Joined on every path: a failed assertion below must not leave the
+  // thread joinable (std::terminate would take the whole binary down).
+  struct JoinOnExit {
+    std::thread& thread;
+    ~JoinOnExit() {
+      if (thread.joinable()) thread.join();
+    }
+  } join_holder{holder};
+  // Probe only once the holder owns the slot. Probing earlier lets the
+  // probe's own request take the slot and shed the holder instead.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.serving_stats().inflight != 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_EQ(service.serving_stats().inflight, 1);
+  HttpClient probe(server.port());
+  auto shed = probe.Get("/detect?q=search+-%3E+cart");
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   ASSERT_EQ(shed->status, 503);
   EXPECT_EQ(shed->headers.at("retry-after"), "7");
   holder.join();

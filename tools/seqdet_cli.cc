@@ -145,7 +145,7 @@ int Usage() {
       "           JSON response verbatim\n"
       "  prune    --db=<dir> --trace=<id>\n"
       "  fold     --db=<dir>   maintenance: fold statistics deltas and\n"
-      "           rewrite posting lists as sorted v2 blocks (v1 upgrade)\n"
+      "           rewrite posting lists as sorted v3 blocks (v1 upgrade)\n"
       "  check    --db=<dir>   fsck: verify cross-table invariants\n"
       "datasets: ");
   for (const auto& name : datagen::DatasetNames()) {
