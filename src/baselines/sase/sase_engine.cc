@@ -77,8 +77,8 @@ size_t SaseEngine::Count(const std::vector<ActivityId>& pattern,
 // Extended operators (DESIGN.md §14) — the normative oracle implementation.
 // Deliberately simple and log-only: per-trace scans, sorted vectors, and
 // binary-searched nested-loop joins. The index-side compiler reaches the
-// same match sets through postings, codecs, caches, and morsel-parallel
-// joins; the differential harness compares the two byte-for-byte.
+// same match sets through postings, codecs, caches, and flat pair joins;
+// the differential harness compares the two byte-for-byte.
 // ---------------------------------------------------------------------------
 
 namespace {

@@ -28,10 +28,10 @@ struct ThreadPoolStats {
 /// Substitutes the paper's Spark executors: the index builder treats each
 /// trace independently ("parallelization-by-design", §5.3), so a plain task
 /// pool reproduces both the 1-executor and the all-cores configurations of
-/// Table 6. Since the morsel-driven query engine it is also the intra-query
-/// executor: one pool instance is safely shared by nested ParallelFor calls
-/// (a DetectBatch fan-out whose Detects fan out their own joins) — see
-/// ParallelFor for the reentrancy rule that makes that deadlock-free.
+/// Table 6. The same pool type runs HTTP connections, router scatter legs
+/// and DetectBatch fan-outs; one instance is safely shared by nested
+/// ParallelFor calls — see ParallelFor for the reentrancy rule that makes
+/// that deadlock-free.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1).
@@ -70,10 +70,10 @@ class ThreadPool {
   /// submitted. Blocking a worker on futures served by its own (possibly
   /// 1-thread, possibly saturated) pool would deadlock — every nested level
   /// could be waiting for a worker that is itself waiting. Inline execution
-  /// keeps nested parallel sections (parallel DetectBatch over parallel
-  /// Detect) correct at the cost of no extra parallelism for the inner
-  /// level, which the outer fan-out already provides. Inline-run chunks are
-  /// counted in ThreadPoolStats::inline_runs.
+  /// keeps nested parallel sections (a ParallelFor issued from inside a
+  /// ParallelFor task) correct at the cost of no extra parallelism for the
+  /// inner level, which the outer fan-out already provides. Inline-run
+  /// chunks are counted in ThreadPoolStats::inline_runs.
   ///
   /// Blocking (future joins): never call under any lock — a worker stuck
   /// behind it would hold that lock for the whole fan-out.

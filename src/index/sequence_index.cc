@@ -796,33 +796,6 @@ Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
       std::make_shared<const std::vector<PairOccurrence>>(std::move(merged)));
 }
 
-Result<std::vector<PostingCache::Snapshot>>
-SequenceIndex::GetPairPostingsBatch(
-    const std::vector<PairPostingsRequest>& requests, ThreadPool* pool) const {
-  std::vector<PostingCache::Snapshot> results(requests.size());
-  std::vector<Status> statuses(requests.size());
-  auto fetch_one = [&](size_t i) {
-    const PairPostingsRequest& request = requests[i];
-    auto fetched = request.filter != nullptr
-                       ? GetPairPostingsFiltered(request.pair, *request.filter)
-                       : GetPairPostingsShared(request.pair);
-    if (fetched.ok()) {
-      results[i] = std::move(fetched).value();
-    } else {
-      statuses[i] = fetched.status();
-    }
-  };
-  if (pool != nullptr && requests.size() > 1) {
-    pool->ParallelFor(requests.size(), fetch_one);
-  } else {
-    for (size_t i = 0; i < requests.size(); ++i) fetch_one(i);
-  }
-  for (const Status& s : statuses) {
-    SEQDET_RETURN_IF_ERROR(s);
-  }
-  return results;
-}
-
 IndexReadStats SequenceIndex::read_stats() const {
   IndexReadStats stats;
   stats.postings_decoded =

@@ -183,25 +183,6 @@ class SequenceIndex {
   Result<PostingCache::Snapshot> GetPairPostingsFiltered(
       const EventTypePair& pair, const TraceIntervalSet& candidates) const;
 
-  /// One pair's fetch spec for GetPairPostingsBatch: the full shared list,
-  /// or the trace-selective read when `filter` is non-null (the pointee
-  /// must outlive the call).
-  struct PairPostingsRequest {
-    EventTypePair pair;
-    const TraceIntervalSet* filter = nullptr;
-  };
-
-  /// Batched posting acquisition: resolves every request — concurrently on
-  /// `pool` when one is given (one task per pair, so lazy SDSEG2 block
-  /// decode and PostingCache fills overlap instead of serializing per join
-  /// step), serially otherwise. results[i] corresponds to requests[i] and
-  /// is exactly what the per-pair entry point would have returned; on any
-  /// failure the lowest-index error is returned. Safe to call from a
-  /// worker of `pool` itself (the fetch fan-out then runs inline).
-  Result<std::vector<PostingCache::Snapshot>> GetPairPostingsBatch(
-      const std::vector<PairPostingsRequest>& requests,
-      ThreadPool* pool) const;
-
   /// Count table: stats of pairs (activity, *), most frequent first.
   Result<std::vector<PairCountStats>> GetFollowerStats(
       eventlog::ActivityId activity) const;

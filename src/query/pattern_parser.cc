@@ -79,6 +79,16 @@ struct Tokenizer {
     return Token{std::string(input.substr(start, pos - start)), false, false};
   }
 
+  /// Consumes the grammar punctuation `punct` when it is the next token.
+  /// Punctuation is never quoted and no longer token starts with it, so
+  /// matching the raw input is exact.
+  bool Accept(std::string_view punct) {
+    SkipSpace();
+    if (input.substr(pos, punct.size()) != punct) return false;
+    pos += punct.size();
+    return true;
+  }
+
   /// Peeks without consuming.
   Result<Token> Peek() {
     size_t saved = pos;
@@ -141,36 +151,27 @@ Result<PatternElement> ParseElement(Tokenizer& tokens,
                                     const eventlog::ActivityDictionary&
                                         dictionary) {
   PatternElement element;
-  SEQDET_ASSIGN_OR_RETURN(Token token, tokens.Next());
-  if (token.punct && token.text == "!") {
-    element.negated = true;
-    SEQDET_ASSIGN_OR_RETURN(token, tokens.Next());
-  }
-  if (token.punct && token.text == "(") {
+  element.negated = tokens.Accept("!");
+  if (tokens.Accept("(")) {
     for (;;) {
       SEQDET_ASSIGN_OR_RETURN(Token name, tokens.Next());
       SEQDET_ASSIGN_OR_RETURN(eventlog::ActivityId id,
                               ResolveName(name, dictionary));
       element.alternatives.push_back(id);
-      SEQDET_ASSIGN_OR_RETURN(Token sep, tokens.Next());
-      if (sep.punct && sep.text == ")") break;
-      if (!sep.punct || sep.text != "|") {
+      if (tokens.Accept(")")) break;
+      if (!tokens.Accept("|")) {
+        SEQDET_ASSIGN_OR_RETURN(Token sep, tokens.Next());
         return Status::InvalidArgument("expected '|' or ')' in group, got '" +
                                        sep.text + "'");
       }
     }
   } else {
+    SEQDET_ASSIGN_OR_RETURN(Token token, tokens.Next());
     SEQDET_ASSIGN_OR_RETURN(eventlog::ActivityId id,
                             ResolveName(token, dictionary));
     element.alternatives.push_back(id);
   }
-  if (!tokens.AtEnd()) {
-    SEQDET_ASSIGN_OR_RETURN(Token suffix, tokens.Peek());
-    if (suffix.punct && suffix.text == "+") {
-      IgnoreStatus(tokens.Next());  // consume the '+' (cannot fail; peeked)
-      element.kleene = true;
-    }
-  }
+  element.kleene = tokens.Accept("+");
   if (element.negated && element.kleene) {
     return Status::InvalidArgument("a negated element cannot carry '+'");
   }

@@ -112,24 +112,21 @@ void AppendPatternMatches(const MatchSet& set, std::vector<PatternMatch>* out) {
   }
 }
 
-/// Algorithm 2 lines 5-13 over one contiguous slice of the join: keep
-/// matches in rows [row_begin, row_end) whose last event coincides with
-/// the first event of a posting in [p_begin, p_end) — a join on
-/// (trace, ts_first). Under SC/STNM a pair's completions never share their
-/// first event, so each key has one continuation; under skip-till-any-match
-/// several postings share a first event and every one extends the match
-/// (overlapping results are the point of that policy). The posting range
-/// must be sorted by (trace, ts_first) — what GetPairPostingsShared
-/// returns. This is both the whole serial join (full ranges) and one
-/// morsel of the parallel join; whichever internal path runs, rows are
-/// visited in order and each row's continuations appended in posting
-/// order, so the output rows depend only on the input ranges.
-Result<MatchSet> ExtendMatchRange(const MatchSet& matches, size_t row_begin,
-                                  size_t row_end, const PairOccurrence* p_begin,
-                                  const PairOccurrence* p_end,
-                                  const Deadline& deadline) {
-  const size_t rows = row_end - row_begin;
-  const size_t num_postings = static_cast<size_t>(p_end - p_begin);
+/// Algorithm 2 lines 5-13: keep matches whose last event coincides with the
+/// first event of a posting — a join on (trace, ts_first). Under SC/STNM a
+/// pair's completions never share their first event, so each key has one
+/// continuation; under skip-till-any-match several postings share a first
+/// event and every one extends the match (overlapping results are the point
+/// of that policy). `postings` must be sorted by (trace, ts_first) — what
+/// GetPairPostingsShared returns. Whichever internal path runs, rows are
+/// visited in order and each row's continuations appended in posting order.
+Result<MatchSet> ExtendMatchSet(const MatchSet& matches,
+                                const std::vector<PairOccurrence>& postings,
+                                const Deadline& deadline) {
+  const size_t rows = matches.size();
+  const size_t num_postings = postings.size();
+  const PairOccurrence* p_begin = postings.data();
+  const PairOccurrence* p_end = p_begin + num_postings;
   MatchSet out;
   out.width = matches.width + 1;
   out.traces.reserve(rows);
@@ -158,7 +155,7 @@ Result<MatchSet> ExtendMatchRange(const MatchSet& matches, size_t row_begin,
   // snapshot's cache lines beyond the probed ranges.
   const bool probe_sorted = rows < num_postings / 8 || num_postings < 16;
   if (probe_sorted) {
-    for (size_t r = row_begin; r < row_end; ++r) {
+    for (size_t r = 0; r < rows; ++r) {
       if (++ticks % kDeadlineStride == 0 && deadline.Expired()) {
         return DeadlineExceeded();
       }
@@ -178,7 +175,7 @@ Result<MatchSet> ExtendMatchRange(const MatchSet& matches, size_t row_begin,
   // join — no hash table, no allocations, two sequential scans.
   if (matches.sorted_by_key) {
     const PairOccurrence* p = p_begin;
-    for (size_t r = row_begin; r < row_end; ++r) {
+    for (size_t r = 0; r < rows; ++r) {
       if (++ticks % kDeadlineStride == 0 && deadline.Expired()) {
         return DeadlineExceeded();
       }
@@ -220,7 +217,7 @@ Result<MatchSet> ExtendMatchRange(const MatchSet& matches, size_t row_begin,
     continuation.emplace(TraceTsKey{head.trace, head.ts_first},
                          Run{start, static_cast<size_t>(p - start)});
   }
-  for (size_t r = row_begin; r < row_end; ++r) {
+  for (size_t r = 0; r < rows; ++r) {
     if (++ticks % kDeadlineStride == 0 && deadline.Expired()) {
       return DeadlineExceeded();
     }
@@ -230,108 +227,6 @@ Result<MatchSet> ExtendMatchRange(const MatchSet& matches, size_t row_begin,
     for (size_t s = 0; s < run.len; ++s) {
       append(r, run.start[s].ts_second);
     }
-  }
-  return out;
-}
-
-/// The pool (possibly null) and tuning knobs a join runs under.
-struct ParallelContext {
-  ThreadPool* pool = nullptr;
-  const ParallelExecutionOptions* options = nullptr;
-};
-
-/// The full pair join: the serial kernel over the whole input, or — when a
-/// pool is available, the input is sorted by the join key, and the join is
-/// big enough to amortize the fork/join — trace-partitioned morsels run
-/// concurrently and concatenated in morsel order.
-///
-/// Byte-identity of the morsel path (DESIGN.md §13): morsel boundaries are
-/// aligned so no trace straddles one, each match row joins only postings of
-/// its own trace, so morsel m's output equals the serial output rows for
-/// its row range; concatenating in morsel order therefore reproduces the
-/// serial row order exactly. The sorted_by_key flag is stitched across
-/// fragment boundaries with the same comparison the serial append makes.
-Result<MatchSet> ExtendMatchSet(const MatchSet& matches,
-                                const std::vector<PairOccurrence>& postings,
-                                const Deadline& deadline,
-                                const ParallelContext& par) {
-  const PairOccurrence* p_begin = postings.data();
-  const PairOccurrence* p_end = p_begin + postings.size();
-  const bool want_parallel =
-      par.pool != nullptr && par.options != nullptr &&
-      par.pool->num_threads() > 1 && matches.sorted_by_key &&
-      matches.size() + postings.size() >= par.options->min_parallel_join_input;
-  if (!want_parallel) {
-    return ExtendMatchRange(matches, 0, matches.size(), p_begin, p_end,
-                            deadline);
-  }
-
-  // Cut the posting array every ~morsel_target_postings entries, then slide
-  // each cut forward to the next trace boundary so a trace's postings land
-  // in exactly one morsel.
-  const size_t target = std::max<size_t>(1, par.options->morsel_target_postings);
-  std::vector<size_t> cuts{0};
-  while (cuts.back() < postings.size()) {
-    size_t end = std::min(postings.size(), cuts.back() + target);
-    while (end < postings.size() &&
-           postings[end].trace == postings[end - 1].trace) {
-      ++end;
-    }
-    cuts.push_back(end);
-  }
-  const size_t morsels = cuts.size() - 1;
-  if (morsels < 2) {
-    return ExtendMatchRange(matches, 0, matches.size(), p_begin, p_end,
-                            deadline);
-  }
-
-  // Assign each match row to the morsel owning its trace's postings. Rows
-  // whose trace falls in a gap between morsels produce no output wherever
-  // they run, so boundary placement for them is immaterial.
-  std::vector<size_t> row_cuts(morsels + 1);
-  row_cuts[0] = 0;
-  row_cuts[morsels] = matches.size();
-  for (size_t m = 1; m < morsels; ++m) {
-    row_cuts[m] = static_cast<size_t>(
-        std::lower_bound(matches.traces.begin(), matches.traces.end(),
-                         postings[cuts[m]].trace) -
-        matches.traces.begin());
-  }
-
-  std::vector<MatchSet> fragments(morsels);
-  std::vector<Status> statuses(morsels);
-  par.pool->ParallelFor(morsels, [&](size_t m) {
-    auto fragment =
-        ExtendMatchRange(matches, row_cuts[m], row_cuts[m + 1],
-                         p_begin + cuts[m], p_begin + cuts[m + 1], deadline);
-    if (fragment.ok()) {
-      fragments[m] = std::move(fragment).value();
-    } else {
-      statuses[m] = fragment.status();
-    }
-  });
-  for (const Status& s : statuses) SEQDET_RETURN_IF_ERROR(s);
-
-  MatchSet out;
-  out.width = matches.width + 1;
-  size_t total = 0;
-  for (const MatchSet& f : fragments) total += f.size();
-  out.traces.reserve(total);
-  out.ts.reserve(total * out.width);
-  for (MatchSet& f : fragments) {
-    if (f.size() == 0) continue;
-    if (!out.traces.empty()) {
-      // Stitch the sorted flag across the fragment boundary — exactly the
-      // comparison the serial append would have made between these rows.
-      const size_t last = out.size() - 1;
-      if (f.traces[0] < out.traces[last] ||
-          (f.traces[0] == out.traces[last] && f.last(0) < out.last(last))) {
-        out.sorted_by_key = false;
-      }
-    }
-    if (!f.sorted_by_key) out.sorted_by_key = false;
-    out.traces.insert(out.traces.end(), f.traces.begin(), f.traces.end());
-    out.ts.insert(out.ts.end(), f.ts.begin(), f.ts.end());
   }
   return out;
 }
@@ -419,23 +314,9 @@ Result<std::vector<PatternMatch>> QueryProcessor::Detect(
   };
   if (constraints.deadline.Expired()) return DeadlineExceeded();
 
-  // Parallel posting acquisition: with a pool, fetch every pair's list up
-  // front and concurrently, overlapping the SDSEG2 block decodes and
-  // posting-cache fills the serial engine pays one join step at a time.
-  // The serial engine keeps the lazy per-step fetch below so a join that
-  // runs dry never touches the remaining pairs' lists.
-  std::vector<index::PostingCache::Snapshot> prefetched;
-  if (pool_ != nullptr && pool_->num_threads() > 1 && num_pairs >= 2) {
-    std::vector<index::SequenceIndex::PairPostingsRequest> requests(num_pairs);
-    for (size_t i = 0; i < num_pairs; ++i) {
-      requests[i].pair = pair_at(i);
-      requests[i].filter = want_filter(i) ? &candidates : nullptr;
-    }
-    SEQDET_ASSIGN_OR_RETURN(prefetched,
-                            index_->GetPairPostingsBatch(requests, pool_));
-  }
+  // Each pair's list is fetched lazily, one join step at a time, so a join
+  // that runs dry never touches the remaining pairs' lists.
   auto fetch = [&](size_t i) -> Result<index::PostingCache::Snapshot> {
-    if (!prefetched.empty()) return prefetched[i];
     return want_filter(i)
                ? index_->GetPairPostingsFiltered(pair_at(i), candidates)
                : index_->GetPairPostingsShared(pair_at(i));
@@ -473,8 +354,7 @@ Result<std::vector<PatternMatch>> QueryProcessor::Detect(
     if (constraints.deadline.Expired()) return DeadlineExceeded();
     SEQDET_ASSIGN_OR_RETURN(auto postings, fetch(i));
     SEQDET_ASSIGN_OR_RETURN(
-        matches, ExtendMatchSet(matches, *postings, constraints.deadline,
-                                ParallelContext{pool_, &parallel_}));
+        matches, ExtendMatchSet(matches, *postings, constraints.deadline));
     if (constraints.max_gap.has_value()) {
       const size_t w = matches.width;
       const Timestamp max_gap = *constraints.max_gap;
@@ -506,8 +386,8 @@ namespace {
 /// sharing the same Kleene depth distribution, plus — per positive pattern
 /// element — the index of the LAST timestamp its chain occupies (the first
 /// follows as last_of[j-1] + 1). Groups stay separate because a MatchSet
-/// is fixed-width; every group flows through the same morsel-parallel join
-/// kernel Detect uses.
+/// is fixed-width; every group flows through the same join kernel Detect
+/// uses.
 struct ExtGroup {
   MatchSet matches;
   std::vector<uint32_t> last_of;
@@ -673,7 +553,7 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
       TighterBound(pattern.max_span, constraints.max_span);
 
   // Plain patterns take the identical Detect join plan (selectivity-ordered
-  // pruning, parallel prefetch) and keep its result order.
+  // pruning) and keep its result order.
   if (pattern.IsPlain() && pattern.size() >= 2) {
     DetectionConstraints plain;
     plain.max_gap = max_gap;
@@ -714,10 +594,9 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
   // depths can leave (trace, last timestamp) order; sorting them first
   // keeps ExtendMatchSet on its merge/probe kernel. The intermediate order
   // is free to change: the result is sorted canonically at the end.
-  const ParallelContext par{pool_, &parallel_};
   auto join = [&](MatchSet* rows, const std::vector<PairOccurrence>& postings) {
     SortByKey(rows);
-    return ExtendMatchSet(*rows, postings, deadline, par);
+    return ExtendMatchSet(*rows, postings, deadline);
   };
 
   std::vector<size_t> positives;
@@ -938,7 +817,6 @@ Result<std::vector<PatternMatch>> QueryProcessor::DetectExtended(
 Result<std::vector<std::vector<PatternMatch>>> QueryProcessor::DetectBatch(
     const std::vector<Pattern>& patterns, ThreadPool* pool,
     const DetectionConstraints& constraints) const {
-  if (pool == nullptr) pool = pool_;
   std::vector<std::vector<PatternMatch>> results(patterns.size());
   std::vector<Status> statuses(patterns.size());
   auto run_one = [&](size_t i) {
@@ -1019,32 +897,6 @@ void QueryProcessor::RankProposals(
             });
 }
 
-Status QueryProcessor::VerifyCandidates(
-    size_t n, const std::function<Result<ContinuationProposal>(size_t)>& verify,
-    std::vector<ContinuationProposal>* proposals) const {
-  proposals->assign(n, ContinuationProposal{});
-  std::vector<Status> statuses(n);
-  auto run_one = [&](size_t i) {
-    auto proposal = verify(i);
-    if (proposal.ok()) {
-      (*proposals)[i] = std::move(proposal).value();
-    } else {
-      statuses[i] = proposal.status();
-    }
-  };
-  // Each verification is an independent read of the (quiescent-under-MVCC)
-  // index, so candidates fan out whenever the pool can actually overlap
-  // them. Results land by index, keeping the serial candidate order.
-  if (pool_ != nullptr && pool_->num_threads() > 1 &&
-      n >= parallel_.min_parallel_candidates) {
-    pool_->ParallelFor(n, run_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) run_one(i);
-  }
-  for (const Status& s : statuses) SEQDET_RETURN_IF_ERROR(s);
-  return Status::OK();
-}
-
 namespace {
 
 /// One distinct (trace, last timestamp) end key of the base pattern's
@@ -1117,7 +969,7 @@ struct CompletionTally {
 /// second event, which is exactly the set of rows the pair join would
 /// materialize; here each only adds to the tally. The cursor advances by
 /// linear scan, or by binary search when the keys are far fewer than the
-/// postings (the ExtendMatchRange rule). Allocates nothing.
+/// postings (the ExtendMatchSet rule). Allocates nothing.
 Status CountCompletions(const std::vector<EndKey>& keys,
                         const std::vector<PairOccurrence>& postings,
                         const ContinuationConstraints& constraints,
@@ -1162,32 +1014,31 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::VerifyContinuations(
   }
 
   std::vector<ContinuationProposal> proposals;
-  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
-      candidates.size(),
-      [&](size_t i) -> Result<ContinuationProposal> {
-        CompletionTally tally;
-        // No base match to extend: the candidate scores zero, unfetched.
-        if (pattern.size() >= 2 && keys.empty()) {
-          return tally.ToProposal(candidates[i]);
-        }
-        if (constraints.deadline.Expired()) return DeadlineExceeded();
-        SEQDET_ASSIGN_OR_RETURN(
-            auto postings,
-            index_->GetPairPostingsShared(EventTypePair{last, candidates[i]}));
-        if (pattern.size() == 1) {
-          // A single-event base: the pair's postings are themselves the
-          // completions.
-          for (const PairOccurrence& posting : *postings) {
-            tally.Add(posting.ts_second - posting.ts_first, 1,
-                      constraints.max_gap);
-          }
-        } else {
-          SEQDET_RETURN_IF_ERROR(
-              CountCompletions(keys, *postings, constraints, &tally));
-        }
-        return tally.ToProposal(candidates[i]);
-      },
-      &proposals));
+  proposals.reserve(candidates.size());
+  for (ActivityId candidate : candidates) {
+    CompletionTally tally;
+    // No base match to extend: the candidate scores zero, unfetched.
+    if (pattern.size() >= 2 && keys.empty()) {
+      proposals.push_back(tally.ToProposal(candidate));
+      continue;
+    }
+    if (constraints.deadline.Expired()) return DeadlineExceeded();
+    SEQDET_ASSIGN_OR_RETURN(
+        auto postings,
+        index_->GetPairPostingsShared(EventTypePair{last, candidate}));
+    if (pattern.size() == 1) {
+      // A single-event base: the pair's postings are themselves the
+      // completions.
+      for (const PairOccurrence& posting : *postings) {
+        tally.Add(posting.ts_second - posting.ts_first, 1,
+                  constraints.max_gap);
+      }
+    } else {
+      SEQDET_RETURN_IF_ERROR(
+          CountCompletions(keys, *postings, constraints, &tally));
+    }
+    proposals.push_back(tally.ToProposal(candidate));
+  }
   RankProposals(&proposals);
   return proposals;
 }
@@ -1374,28 +1225,27 @@ QueryProcessor::ContinueInsertAccurate(
   DetectionConstraints detect;
   detect.deadline = constraints.deadline;
   std::vector<ContinuationProposal> proposals;
-  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
-      candidates.size(),
-      [&](size_t i) -> Result<ContinuationProposal> {
-        const ContinuationProposal& candidate = candidates[i];
-        Pattern spliced = Spliced(pattern, gap_index, candidate.activity);
-        if (spliced.size() < 2) return candidate;
-        SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(spliced, detect));
-        CompletionTally tally;
-        for (const PatternMatch& match : matches) {
-          // Duration of the detour through the inserted event.
-          size_t at = gap_index;  // index of the inserted event in the match
-          Timestamp gap =
-              at + 1 < match.timestamps.size()
-                  ? match.timestamps[at + 1] -
-                        (at > 0 ? match.timestamps[at - 1]
-                                : match.timestamps[at])
-                  : match.timestamps[at] - match.timestamps[at - 1];
-          tally.Add(gap, 1, constraints.max_gap);
-        }
-        return tally.ToProposal(candidate.activity);
-      },
-      &proposals));
+  proposals.reserve(candidates.size());
+  for (const ContinuationProposal& candidate : candidates) {
+    Pattern spliced = Spliced(pattern, gap_index, candidate.activity);
+    if (spliced.size() < 2) {
+      proposals.push_back(candidate);
+      continue;
+    }
+    SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(spliced, detect));
+    CompletionTally tally;
+    for (const PatternMatch& match : matches) {
+      // Duration of the detour through the inserted event.
+      size_t at = gap_index;  // index of the inserted event in the match
+      Timestamp gap =
+          at + 1 < match.timestamps.size()
+              ? match.timestamps[at + 1] -
+                    (at > 0 ? match.timestamps[at - 1] : match.timestamps[at])
+              : match.timestamps[at] - match.timestamps[at - 1];
+      tally.Add(gap, 1, constraints.max_gap);
+    }
+    proposals.push_back(tally.ToProposal(candidate.activity));
+  }
   RankProposals(&proposals);
   return proposals;
 }

@@ -1,7 +1,6 @@
 #ifndef SEQDET_QUERY_QUERY_PROCESSOR_H_
 #define SEQDET_QUERY_QUERY_PROCESSOR_H_
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -98,41 +97,15 @@ struct ContinuationConstraints {
   Deadline deadline;
 };
 
-/// Tuning knobs of the morsel-driven intra-query execution engine (used
-/// only when the processor is given a ThreadPool). Defaults are production
-/// values; tests shrink the thresholds to force many morsels over tiny
-/// logs. Whatever the values, parallel execution returns byte-identical
-/// match vectors to the serial path (see DESIGN.md §13 for the argument).
-struct ParallelExecutionOptions {
-  /// Target postings per join morsel: every pair join (Detect's and each
-  /// step of DetectExtended's) over a (trace, ts)-sorted input is split
-  /// into contiguous trace-aligned ranges of roughly this many postings,
-  /// run on the pool, and concatenated in morsel order.
-  size_t morsel_target_postings = 128u << 10;
-  /// Minimum total join input (postings + surviving matches) before a join
-  /// is morselized at all; below it the fork/join overhead exceeds the win.
-  size_t min_parallel_join_input = 32u << 10;
-  /// Minimum continuation-candidate count before verification fans out.
-  size_t min_parallel_candidates = 2;
-};
-
 /// The query-processor component of Figure 1. All queries run against a
-/// SequenceIndex; none touches the raw log.
-///
-/// Intra-query parallelism: constructed with a ThreadPool, a single query
-/// fans out three ways — all pair posting lists are fetched/decoded
-/// concurrently on entry, each pair join runs as trace-partitioned morsels,
-/// and continuation candidates are verified concurrently. Parallel and
-/// serial execution return byte-identical results; a null pool (the
-/// default) is the serial engine. The pool may be shared with other
-/// processors and with DetectBatch — nested fan-outs run inline (see
-/// ThreadPool::ParallelFor).
+/// SequenceIndex; none touches the raw log. Each query runs serially on the
+/// calling thread (Algorithm 2 is one pair join after another); parallelism
+/// lives across queries — DetectBatch, the HTTP worker pool — and across
+/// shards (DESIGN.md §13).
 class QueryProcessor {
  public:
-  explicit QueryProcessor(const index::SequenceIndex* index,
-                          ThreadPool* pool = nullptr,
-                          const ParallelExecutionOptions& parallel = {})
-      : index_(index), pool_(pool), parallel_(parallel) {}
+  explicit QueryProcessor(const index::SequenceIndex* index)
+      : index_(index) {}
 
   /// Statistics query: per consecutive pair, completions and average
   /// duration from the Count table; plus whole-pattern bounds.
@@ -149,7 +122,7 @@ class QueryProcessor {
   /// Extended-operator detection (DESIGN.md §14): expands disjunctions and
   /// Kleene+ into a positive pair-join skeleton over the index — shared
   /// posting snapshots (k-way merged across alternatives) run through the
-  /// same flat, morsel-parallel join kernel Detect uses — then
+  /// same flat join kernel Detect uses — then
   /// post-verifies negation intervals per candidate match. Time windows
   /// are applied after every extension. The deadline is polled per pair
   /// fetch and inside every merge, join and extension.
@@ -206,11 +179,9 @@ class QueryProcessor {
 
   /// Evaluates many detection queries, optionally in parallel on `pool`
   /// (reads are lock-free against a quiescent index, so this scales with
-  /// cores). A null `pool` falls back to the processor's own pool, so a
-  /// parallel processor fans the batch out by default; per-query intra-
-  /// query fan-outs then run inline on the batch workers. Result i
-  /// corresponds to patterns[i]; a failed query yields an empty result and
-  /// the first error is returned.
+  /// cores); a null `pool` runs them one after another on the calling
+  /// thread. Result i corresponds to patterns[i]; a failed query yields an
+  /// empty result and the first error is returned.
   Result<std::vector<std::vector<PatternMatch>>> DetectBatch(
       const std::vector<Pattern>& patterns, ThreadPool* pool = nullptr,
       const DetectionConstraints& constraints = {}) const;
@@ -240,9 +211,6 @@ class QueryProcessor {
 
   const index::SequenceIndex* index() const { return index_; }
 
-  /// The intra-query execution pool (null = serial engine).
-  ThreadPool* pool() const { return pool_; }
-
   /// Scores + sorts proposals by Equation 1 (descending; ties broken by
   /// activity id, making the order a deterministic total order). Public
   /// because the shard router re-ranks merged per-shard aggregates with
@@ -251,16 +219,6 @@ class QueryProcessor {
   static void RankProposals(std::vector<ContinuationProposal>* proposals);
 
  private:
-  /// Runs `verify(i)` for every candidate index in [0, n) — concurrently on
-  /// the pool when there are enough candidates (each verification is an
-  /// independent index read) — storing result i into (*proposals)[i].
-  /// Failures keep candidate order: the lowest-index error is returned,
-  /// matching what the serial loop would have reported first.
-  Status VerifyCandidates(
-      size_t n,
-      const std::function<Result<ContinuationProposal>(size_t)>& verify,
-      std::vector<ContinuationProposal>* proposals) const;
-
   /// Algorithm 3 lines 3-9 for the given candidates of `pattern`, ranked:
   /// the shared verification step of ContinueAccurate and ContinueHybrid.
   /// Detects the base pattern once (the "incremental" advantage of §5.4.2)
@@ -273,8 +231,6 @@ class QueryProcessor {
       const ContinuationConstraints& constraints) const;
 
   const index::SequenceIndex* index_;
-  ThreadPool* pool_;
-  ParallelExecutionOptions parallel_;
 };
 
 }  // namespace seqdet::query

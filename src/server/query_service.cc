@@ -153,12 +153,7 @@ RouteStatsSnapshot QueryService::RouteStats::Snapshot() const {
 
 QueryService::QueryService(const index::SequenceIndex* index,
                            ServingOptions options)
-    : index_(index),
-      query_pool_(options.query_threads > 1
-                      ? std::make_unique<ThreadPool>(options.query_threads)
-                      : nullptr),
-      qp_(index, query_pool_.get()),
-      options_(options) {}
+    : index_(index), qp_(index), options_(options) {}
 
 void QueryService::RegisterRoutes(HttpServer* server) {
   server_ = server;
@@ -355,10 +350,13 @@ HttpResponse QueryService::HandleInfo(const HttpRequest&) const {
       .Int(serving.inflight)
       .Key("shed_total")
       .Int(static_cast<int64_t>(serving.shed_total));
-  // Execution pools: the per-query fan-out pool and (when registered on a
-  // live server) the HTTP worker pool, in the same counter vocabulary.
-  auto pool_object = [&json](const ThreadPoolStats& pool) {
-    json.BeginObject()
+  // Execution pools: the HTTP worker pool, when registered on a live
+  // server.
+  json.Key("pools").BeginObject();
+  if (server_ != nullptr) {
+    const ThreadPoolStats pool = server_->pool_stats();
+    json.Key("http")
+        .BeginObject()
         .Key("threads")
         .Int(static_cast<int64_t>(pool.threads))
         .Key("tasks_executed")
@@ -370,13 +368,6 @@ HttpResponse QueryService::HandleInfo(const HttpRequest&) const {
         .Key("peak_queue_depth")
         .Int(static_cast<int64_t>(pool.peak_queue_depth))
         .EndObject();
-  };
-  json.Key("pools").BeginObject().Key("query");
-  pool_object(query_pool_ != nullptr ? query_pool_->stats()
-                                     : ThreadPoolStats{});
-  if (server_ != nullptr) {
-    json.Key("http");
-    pool_object(server_->pool_stats());
   }
   json.EndObject();
 

@@ -4,13 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "index/sequence_index.h"
 #include "query/query_processor.h"
@@ -35,11 +33,6 @@ struct ServingOptions {
   /// asleep. Only the tests and bench_serving set this; it makes overload
   /// and drain behavior deterministic to provoke.
   bool debug_routes = false;
-  /// Workers of the intra-query execution pool shared by every request:
-  /// posting prefetch, morselized pair joins, and parallel continuation
-  /// verification all fan out on it (see QueryProcessor). 0 or 1 = the
-  /// serial engine (no pool is created).
-  size_t query_threads = 0;
 };
 
 /// Point-in-time serving counters for one route.
@@ -111,9 +104,6 @@ class QueryService {
   /// Snapshot of the admission/latency counters of every route.
   ServingStatsSnapshot serving_stats() const;
 
-  /// The intra-query execution pool (null when query_threads <= 1).
-  const ThreadPool* query_pool() const { return query_pool_.get(); }
-
  private:
   /// Bounded-memory latency/err accounting for one route. The percentile
   /// window keeps the most recent kLatencyWindow samples (common/histogram
@@ -163,9 +153,6 @@ class QueryService {
                                 const Deadline& deadline) const;
 
   const index::SequenceIndex* index_;
-  /// Intra-query execution pool (null = serial engine). Declared before
-  /// qp_, which borrows it for its whole lifetime.
-  std::unique_ptr<ThreadPool> query_pool_;
   query::QueryProcessor qp_;
   ServingOptions options_;
   HttpServer* server_ = nullptr;  // set by RegisterRoutes, for /info

@@ -215,43 +215,16 @@ std::string Describe(const std::vector<ActivityId>& pattern, uint64_t seed,
   return out;
 }
 
-/// Morsel thresholds small enough that the differential log's posting
-/// lists split into many morsels, so the parallel axis exercises real
-/// partitioning rather than falling back to the serial kernel.
-query::ParallelExecutionOptions TinyMorsels() {
-  query::ParallelExecutionOptions par;
-  par.morsel_target_postings = 16;
-  par.min_parallel_join_input = 1;
-  par.min_parallel_candidates = 1;
-  return par;
-}
-
 /// Runs every pattern through the index and the oracle, requiring identical
 /// match multisets. `stage` labels the index state in failure messages.
-/// Every pattern also runs through the morsel-driven engine at two pool
-/// widths (the parallel-execution axis); those results must be
-/// *byte-identical* to the serial engine's — same matches, same order —
-/// not merely equal as multisets.
 void ExpectAgreement(const Fixture& f, const Oracle& oracle,
                      const std::vector<std::vector<ActivityId>>& patterns,
                      uint64_t seed, const char* stage,
                      const DetectionConstraints& constraints = {}) {
   QueryProcessor qp(f.index.get());
-  ThreadPool pool2(2);
-  ThreadPool pool4(4);
-  QueryProcessor qp2(f.index.get(), &pool2, TinyMorsels());
-  QueryProcessor qp4(f.index.get(), &pool4, TinyMorsels());
   for (const auto& p : patterns) {
     auto got = qp.Detect(Pattern(p), constraints);
     ASSERT_TRUE(got.ok()) << got.status() << " " << Describe(p, seed, stage);
-    auto par2 = qp2.Detect(Pattern(p), constraints);
-    auto par4 = qp4.Detect(Pattern(p), constraints);
-    ASSERT_TRUE(par2.ok()) << par2.status() << " " << Describe(p, seed, stage);
-    ASSERT_TRUE(par4.ok()) << par4.status() << " " << Describe(p, seed, stage);
-    ASSERT_EQ(*par2, *got)
-        << "2-thread diverged from serial " << Describe(p, seed, stage);
-    ASSERT_EQ(*par4, *got)
-        << "4-thread diverged from serial " << Describe(p, seed, stage);
     ASSERT_EQ(Normalized(*got), Normalized(oracle.Detect(p, constraints)))
         << Describe(p, seed, stage);
   }
@@ -403,36 +376,38 @@ TEST(DifferentialBatchTest, DetectBatchAgreesWithOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel execution: error/deadline behavior must match serial exactly
+// Deadlines: an expired budget aborts, a generous one changes nothing
 // ---------------------------------------------------------------------------
 
-TEST(DifferentialParallelTest, DeadlineBehaviorMatchesSerial) {
+TEST(DifferentialDeadlineTest, ExpiredAbortsAndGenerousMatchesUnbounded) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
   Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
-  QueryProcessor serial(f.index.get());
-  ThreadPool pool(4);
-  QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
+  QueryProcessor qp(f.index.get());
   auto patterns =
       RandomPatterns(100, f.index->dictionary().size(), seed ^ 0xD1D);
+  DetectionConstraints expired;
+  expired.deadline = Deadline::After(0);
+  DetectionConstraints generous;
+  generous.deadline = Deadline::After(60000);
   for (const auto& p : patterns) {
-    // Already-expired budget: both engines must abort — the morsel path
-    // maps any worker's Aborted to the same status the serial join
-    // returns — and a never-expiring one must not change the matches.
-    DetectionConstraints expired;
-    expired.deadline = Deadline::After(0);
-    auto s = serial.Detect(Pattern(p), expired);
-    auto q = parallel.Detect(Pattern(p), expired);
-    ASSERT_TRUE(s.status().IsAborted()) << Describe(p, seed, "deadline");
-    ASSERT_TRUE(q.status().IsAborted()) << Describe(p, seed, "deadline");
+    const auto ext = query::ExtendedPattern::FromPlain(Pattern(p));
+    ASSERT_TRUE(qp.Detect(Pattern(p), expired).status().IsAborted())
+        << Describe(p, seed, "deadline");
+    ASSERT_TRUE(qp.DetectExtended(ext, expired).status().IsAborted())
+        << Describe(p, seed, "deadline-extended");
 
-    DetectionConstraints generous;
-    generous.deadline = Deadline::After(60000);
-    auto s2 = serial.Detect(Pattern(p), generous);
-    auto q2 = parallel.Detect(Pattern(p), generous);
-    ASSERT_TRUE(s2.ok()) << s2.status();
-    ASSERT_TRUE(q2.ok()) << q2.status();
-    ASSERT_EQ(*q2, *s2) << Describe(p, seed, "deadline-generous");
+    auto unbounded = qp.Detect(Pattern(p));
+    auto bounded = qp.Detect(Pattern(p), generous);
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+    ASSERT_TRUE(bounded.ok()) << bounded.status();
+    ASSERT_EQ(*bounded, *unbounded) << Describe(p, seed, "deadline-generous");
+    auto ext_unbounded = qp.DetectExtended(ext);
+    auto ext_bounded = qp.DetectExtended(ext, generous);
+    ASSERT_TRUE(ext_unbounded.ok()) << ext_unbounded.status();
+    ASSERT_TRUE(ext_bounded.ok()) << ext_bounded.status();
+    ASSERT_EQ(*ext_bounded, *ext_unbounded)
+        << Describe(p, seed, "deadline-generous-extended");
   }
 }
 
@@ -558,7 +533,7 @@ TEST(DifferentialHttpTest, HttpDetectAgreesUnderConcurrentAutoFold) {
 //
 // The oracle here is SaseEngine::DetectExtended — the normative raw-log
 // implementation of the extended composition semantics. It shares nothing
-// with the index path (no postings, no codecs, no caches, no morsels), so a
+// with the index path (no postings, no codecs, no caches), so a
 // disagreement implicates the index-side compiler in
 // QueryProcessor::DetectExtended.
 // ---------------------------------------------------------------------------
@@ -615,9 +590,7 @@ std::string DescribeExt(const ExtendedPattern& pattern,
          std::to_string(seed) + ")";
 }
 
-/// Index-side extended detection versus the SASE extended oracle, plus the
-/// parallel-execution axis: the morsel-driven engine at two pool widths
-/// must be byte-identical to the serial extended path.
+/// Index-side extended detection versus the SASE extended oracle.
 void ExpectExtendedAgreement(const Fixture& f, const EventLog& log,
                              Policy policy,
                              const std::vector<ExtendedPattern>& patterns,
@@ -625,25 +598,11 @@ void ExpectExtendedAgreement(const Fixture& f, const EventLog& log,
                              baseline::SasePairCache* cache) {
   baseline::SaseEngine engine(&log);
   QueryProcessor qp(f.index.get());
-  ThreadPool pool2(2);
-  ThreadPool pool4(4);
-  QueryProcessor qp2(f.index.get(), &pool2, TinyMorsels());
-  QueryProcessor qp4(f.index.get(), &pool4, TinyMorsels());
   const auto& dict = f.index->dictionary();
   for (const ExtendedPattern& p : patterns) {
     auto got = qp.DetectExtended(p);
     ASSERT_TRUE(got.ok()) << got.status() << " "
                           << DescribeExt(p, dict, seed, stage);
-    auto par2 = qp2.DetectExtended(p);
-    auto par4 = qp4.DetectExtended(p);
-    ASSERT_TRUE(par2.ok()) << par2.status() << " "
-                           << DescribeExt(p, dict, seed, stage);
-    ASSERT_TRUE(par4.ok()) << par4.status() << " "
-                           << DescribeExt(p, dict, seed, stage);
-    ASSERT_EQ(*par2, *got) << "2-thread diverged from serial "
-                           << DescribeExt(p, dict, seed, stage);
-    ASSERT_EQ(*par4, *got) << "4-thread diverged from serial "
-                           << DescribeExt(p, dict, seed, stage);
     auto expected = engine.DetectExtended(p, policy, cache);
     ASSERT_TRUE(expected.ok()) << expected.status() << " "
                                << DescribeExt(p, dict, seed, stage);

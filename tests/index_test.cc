@@ -632,7 +632,8 @@ EventLog SmallRandomLog(uint64_t seed, size_t traces = 30) {
     size_t len = static_cast<size_t>(rng.NextInRange(5, 25));
     for (size_t i = 0; i < len; ++i) {
       ts += rng.NextInRange(1, 5);
-      log.Append(t, "m" + std::to_string(rng.NextBounded(5)), ts);
+      log.Append(t, std::string("m").append(std::to_string(rng.NextBounded(5))),
+                 ts);
     }
   }
   log.SortAllTraces();

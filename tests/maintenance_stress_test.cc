@@ -57,7 +57,8 @@ EventLog MakeBatch(Rng* rng, uint64_t first_trace, size_t traces,
     Timestamp ts = 0;
     for (size_t i = 0; i < len; ++i) {
       ts += rng->NextInRange(1, 9);
-      std::string name = "a" + std::to_string(rng->NextBounded(kActivities));
+      std::string name = std::string("a").append(
+          std::to_string(rng->NextBounded(kActivities)));
       batch.Append(trace, name, ts);
       accumulated->Append(trace, name, ts);
     }

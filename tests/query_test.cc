@@ -319,8 +319,7 @@ void ExpectSameProposals(const std::vector<ContinuationProposal>& expected,
 // The continuation differential: Algorithm 3 as printed (a full Detect of
 // every extended pattern) is the reference for the incremental count-only
 // verification behind ContinueAccurate and ContinueHybrid(k >= |A|), over
-// every policy, with and without max_gap, base lengths 1-4, serial and
-// pooled execution.
+// every policy, with and without max_gap, base lengths 1-4.
 TEST(ContinuationTest, NaiveAlgorithm3MatchesIncremental) {
   Rng rng(88);
   EventLog log;
@@ -349,22 +348,16 @@ TEST(ContinuationTest, NaiveAlgorithm3MatchesIncremental) {
     }
   }
 
-  ParallelExecutionOptions tiny;
-  tiny.morsel_target_postings = 8;
-  tiny.min_parallel_join_input = 1;
-  tiny.min_parallel_candidates = 1;
-  ThreadPool pool(2);
   bool saw_shared_end = false;
   bool saw_empty_base = false;
   for (Policy policy : {Policy::kStrictContiguity, Policy::kSkipTillNextMatch,
                         Policy::kSkipTillAnyMatch}) {
     Fixture f(log, policy);
-    QueryProcessor serial(f.index.get());
-    QueryProcessor pooled(f.index.get(), &pool, tiny);
+    QueryProcessor qp(f.index.get());
     for (const auto& names : bases) {
       Pattern pattern = NamedPattern(f, names);
       if (pattern.size() >= 2) {
-        auto base = serial.Detect(pattern);
+        auto base = qp.Detect(pattern);
         ASSERT_TRUE(base.ok());
         std::set<std::pair<eventlog::TraceId, Timestamp>> ends;
         for (const PatternMatch& m : *base) {
@@ -381,21 +374,18 @@ TEST(ContinuationTest, NaiveAlgorithm3MatchesIncremental) {
            {std::optional<Timestamp>(), std::optional<Timestamp>(3)}) {
         ContinuationConstraints constraints;
         constraints.max_gap = max_gap;
-        auto naive = serial.ContinueAccurateNaive(pattern, constraints);
+        auto naive = qp.ContinueAccurateNaive(pattern, constraints);
         ASSERT_TRUE(naive.ok()) << naive.status();
-        for (const QueryProcessor* qp : {&serial, &pooled}) {
-          const std::string context =
-              std::string(index::PolicyName(policy)) + " " +
-              pattern.ToString(f.index->dictionary()) +
-              (max_gap ? " max_gap=3" : "") +
-              (qp == &pooled ? " pooled" : " serial");
-          auto accurate = qp->ContinueAccurate(pattern, constraints);
-          ASSERT_TRUE(accurate.ok()) << accurate.status();
-          ExpectSameProposals(*naive, *accurate, context + " accurate");
-          auto hybrid = qp->ContinueHybrid(pattern, 1000, constraints);
-          ASSERT_TRUE(hybrid.ok()) << hybrid.status();
-          ExpectSameProposals(*naive, *hybrid, context + " hybrid");
-        }
+        const std::string context = std::string(index::PolicyName(policy)) +
+                                    " " +
+                                    pattern.ToString(f.index->dictionary()) +
+                                    (max_gap ? " max_gap=3" : "");
+        auto accurate = qp.ContinueAccurate(pattern, constraints);
+        ASSERT_TRUE(accurate.ok()) << accurate.status();
+        ExpectSameProposals(*naive, *accurate, context + " accurate");
+        auto hybrid = qp.ContinueHybrid(pattern, 1000, constraints);
+        ASSERT_TRUE(hybrid.ok()) << hybrid.status();
+        ExpectSameProposals(*naive, *hybrid, context + " hybrid");
       }
     }
   }
@@ -722,152 +712,6 @@ TEST(ContinuationTest, DeadEndActivityYieldsNoProposals) {
   EXPECT_TRUE(proposals->empty());
 }
 
-
-// ---------------------------------------------------------------------------
-// Parallel execution (morsel-driven engine)
-// ---------------------------------------------------------------------------
-
-/// Tiny thresholds so even toy logs exercise the morselized joins, the
-/// posting prefetch, and the parallel candidate verification.
-ParallelExecutionOptions TinyMorsels() {
-  ParallelExecutionOptions par;
-  par.morsel_target_postings = 8;
-  par.min_parallel_join_input = 1;
-  par.min_parallel_candidates = 1;
-  return par;
-}
-
-/// A log wide enough (many traces) for trace-aligned morsels to actually
-/// split, with repeated keys so joins have real fan-out.
-EventLog WideRandomLog(uint64_t seed, size_t traces, size_t events_per_trace,
-                       int alphabet) {
-  Rng rng(seed);
-  EventLog log;
-  for (size_t t = 0; t < traces; ++t) {
-    for (size_t i = 0; i < events_per_trace; ++i) {
-      log.Append(t,
-                 std::string(1, static_cast<char>(
-                                    'A' + rng.NextBounded(
-                                              static_cast<uint64_t>(alphabet)))),
-                 static_cast<Timestamp>(i + 1));
-    }
-  }
-  log.SortAllTraces();
-  return log;
-}
-
-TEST(ParallelQueryTest, DetectByteIdenticalToSerial) {
-  for (Policy policy : {Policy::kSkipTillNextMatch, Policy::kStrictContiguity,
-                        Policy::kSkipTillAnyMatch}) {
-    EventLog log = WideRandomLog(17, 60, 20, 4);
-    Fixture f(log, policy);
-    QueryProcessor serial(f.index.get());
-    ThreadPool pool(4);
-    QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
-    Rng rng(5);
-    for (int i = 0; i < 40; ++i) {
-      std::vector<std::string> names;
-      size_t len = 2 + rng.NextBounded(3);
-      for (size_t j = 0; j < len; ++j) {
-        names.push_back(std::string(1, static_cast<char>('A' + rng.NextBounded(4))));
-      }
-      Pattern pattern = NamedPattern(f, names);
-      auto expected = serial.Detect(pattern);
-      auto actual = parallel.Detect(pattern);
-      ASSERT_TRUE(expected.ok()) << expected.status();
-      ASSERT_TRUE(actual.ok()) << actual.status();
-      // Byte identity: same matches in the same order, not just same set.
-      EXPECT_EQ(*actual, *expected) << "policy " << static_cast<int>(policy);
-    }
-  }
-}
-
-TEST(ParallelQueryTest, DetectWithConstraintsMatchesSerial) {
-  EventLog log = WideRandomLog(23, 50, 16, 3);
-  Fixture f(log);
-  QueryProcessor serial(f.index.get());
-  ThreadPool pool(3);
-  QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
-  Pattern pattern = NamedPattern(f, {"A", "B", "A"});
-  DetectionConstraints constraints;
-  constraints.max_gap = 4;
-  constraints.max_span = 9;
-  auto expected = serial.Detect(pattern, constraints);
-  auto actual = parallel.Detect(pattern, constraints);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(*actual, *expected);
-}
-
-TEST(ParallelQueryTest, ExpiredDeadlineStillAborts) {
-  EventLog log = WideRandomLog(29, 40, 16, 3);
-  Fixture f(log);
-  ThreadPool pool(4);
-  QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
-  DetectionConstraints constraints;
-  constraints.deadline = Deadline::After(0);
-  auto matches = parallel.Detect(NamedPattern(f, {"A", "B", "A"}), constraints);
-  EXPECT_TRUE(matches.status().IsAborted());
-}
-
-TEST(ParallelQueryTest, ContinuationsMatchSerial) {
-  EventLog log = WideRandomLog(31, 40, 18, 4);
-  Fixture f(log);
-  QueryProcessor serial(f.index.get());
-  ThreadPool pool(4);
-  QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
-  for (const char* base : {"A", "B"}) {
-    Pattern pattern = NamedPattern(f, {"A", base});
-    auto accurate_s = serial.ContinueAccurate(pattern);
-    auto accurate_p = parallel.ContinueAccurate(pattern);
-    ASSERT_TRUE(accurate_s.ok());
-    ASSERT_TRUE(accurate_p.ok());
-    EXPECT_EQ(accurate_p->size(), accurate_s->size());
-    for (size_t i = 0; i < accurate_s->size(); ++i) {
-      EXPECT_EQ((*accurate_p)[i].activity, (*accurate_s)[i].activity);
-      EXPECT_EQ((*accurate_p)[i].total_completions,
-                (*accurate_s)[i].total_completions);
-      EXPECT_EQ((*accurate_p)[i].score, (*accurate_s)[i].score);
-    }
-    auto hybrid_s = serial.ContinueHybrid(pattern, 3);
-    auto hybrid_p = parallel.ContinueHybrid(pattern, 3);
-    ASSERT_TRUE(hybrid_s.ok());
-    ASSERT_TRUE(hybrid_p.ok());
-    ASSERT_EQ(hybrid_p->size(), hybrid_s->size());
-    for (size_t i = 0; i < hybrid_s->size(); ++i) {
-      EXPECT_EQ((*hybrid_p)[i].activity, (*hybrid_s)[i].activity);
-      EXPECT_EQ((*hybrid_p)[i].score, (*hybrid_s)[i].score);
-    }
-    auto insert_s = serial.ContinueInsertAccurate(pattern, 1);
-    auto insert_p = parallel.ContinueInsertAccurate(pattern, 1);
-    ASSERT_TRUE(insert_s.ok());
-    ASSERT_TRUE(insert_p.ok());
-    ASSERT_EQ(insert_p->size(), insert_s->size());
-    for (size_t i = 0; i < insert_s->size(); ++i) {
-      EXPECT_EQ((*insert_p)[i].activity, (*insert_s)[i].activity);
-      EXPECT_EQ((*insert_p)[i].score, (*insert_s)[i].score);
-    }
-  }
-}
-
-TEST(ParallelQueryTest, DetectBatchFallsBackToMemberPool) {
-  EventLog log = WideRandomLog(37, 30, 12, 3);
-  Fixture f(log);
-  QueryProcessor serial(f.index.get());
-  ThreadPool pool(2);
-  QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
-  std::vector<Pattern> patterns{NamedPattern(f, {"A", "B"}),
-                                NamedPattern(f, {"B", "A", "C"}),
-                                NamedPattern(f, {"C", "C"})};
-  auto expected = serial.DetectBatch(patterns);
-  // No pool argument: the batch fans out on the processor's own pool, and
-  // each query's nested fan-outs run inline on the batch workers.
-  auto actual = parallel.DetectBatch(patterns);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(*actual, *expected);
-  EXPECT_GT(pool.stats().tasks_executed, 0u);
-}
 
 // ---------------------------------------------------------------------------
 // Extended patterns (disjunction, Kleene+, negation, windows)

@@ -50,7 +50,9 @@ EventLog MakeBatch(Rng* rng, uint64_t first_trace, size_t traces) {
     Timestamp ts = 0;
     for (size_t i = 0; i < len; ++i) {
       ts += rng->NextInRange(1, 9);
-      batch.Append(trace, "a" + std::to_string(rng->NextBounded(kActivities)),
+      batch.Append(trace,
+                   std::string("a").append(
+                       std::to_string(rng->NextBounded(kActivities))),
                    ts);
     }
   }
@@ -59,7 +61,8 @@ EventLog MakeBatch(Rng* rng, uint64_t first_trace, size_t traces) {
 }
 
 std::string Activity(Rng* rng) {
-  return "a" + std::to_string(rng->NextBounded(kActivities));
+  return std::string("a").append(
+      std::to_string(rng->NextBounded(kActivities)));
 }
 
 TEST(ServerStressTest, ConcurrentClientsWritesAndFolding) {

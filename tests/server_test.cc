@@ -791,7 +791,10 @@ struct WideAlphabetIndex {
     size_t next = 0;
     for (eventlog::TraceId trace = 0; trace < 3200; ++trace) {
       for (int64_t ts = 0; ts < 10; ++ts) {
-        log.Append(trace, "a" + std::to_string(next++ % kActivities), ts);
+        log.Append(trace,
+                   std::string("a").append(
+                       std::to_string(next++ % kActivities)),
+                   ts);
       }
     }
     log.SortAllTraces();

@@ -73,14 +73,17 @@ TEST_P(StorageSweepTest, MatchesReferenceModelUnderRandomWorkload) {
   std::map<std::string, std::string> model;
   Rng rng(1234);
   for (int step = 0; step < 1500; ++step) {
-    std::string key = "k" + std::to_string(rng.NextBounded(60));
+    std::string key =
+        std::string("k").append(std::to_string(rng.NextBounded(60)));
     uint64_t op = rng.NextBounded(100);
     if (op < 30) {
-      std::string v = "p" + std::to_string(rng.NextBounded(100));
+      std::string v =
+          std::string("p").append(std::to_string(rng.NextBounded(100)));
       ASSERT_TRUE(table->Put(key, v).ok());
       model[key] = v;
     } else if (op < 70) {
-      std::string v = "+" + std::to_string(rng.NextBounded(10));
+      std::string v =
+          std::string("+").append(std::to_string(rng.NextBounded(10)));
       ASSERT_TRUE(table->Append(key, v).ok());
       model[key] += v;
     } else if (op < 85) {

@@ -518,7 +518,8 @@ TEST(TablePropertyTest, MatchesReferenceModel) {
   Table& t = **table;
   std::map<std::string, std::string> model;
   for (int step = 0; step < 3000; ++step) {
-    std::string key = "k" + std::to_string(rng.NextBounded(40));
+    std::string key =
+        std::string("k").append(std::to_string(rng.NextBounded(40)));
     uint64_t op = rng.NextBounded(100);
     if (op < 35) {
       std::string v = "p" + std::to_string(rng.NextBounded(1000));
@@ -752,7 +753,7 @@ TEST(ShardedTableTest, RewriteValueRoutesToOwningShard) {
   auto table = ShardedTable::Open("", "t", 4, InMemoryOptions());
   ShardedTable& t = **table;
   for (int i = 0; i < 32; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     ASSERT_TRUE(t.Append(key, "b").ok());
     ASSERT_TRUE(t.Append(key, "a").ok());
   }
@@ -787,7 +788,8 @@ TEST(ShardedTableTest, RoutesAndReadsBack) {
   ShardedTable& t = **table;
   EXPECT_EQ(t.num_shards(), 8u);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(t.Put("key" + std::to_string(i), "v" + std::to_string(i))
+    ASSERT_TRUE(t.Put(std::string("key").append(std::to_string(i)),
+                      std::string("v").append(std::to_string(i)))
                     .ok());
   }
   std::string value;
@@ -821,12 +823,12 @@ TEST(ShardedTableTest, ApplySplitsBatchAcrossShards) {
   ShardedTable& t = **table;
   WriteBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch.Append("k" + std::to_string(i), "x");
+    batch.Append(std::string("k").append(std::to_string(i)), "x");
   }
   ASSERT_TRUE(t.Apply(batch).ok());
   size_t found = 0;
   for (int i = 0; i < 100; ++i) {
-    if (t.Contains("k" + std::to_string(i))) ++found;
+    if (t.Contains(std::string("k").append(std::to_string(i)))) ++found;
   }
   EXPECT_EQ(found, 100u);
 }

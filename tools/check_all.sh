@@ -12,7 +12,8 @@
 #   (defaults: build-asan, build-tsan)
 #   --static   run only the fast pre-merge slice: the static gate
 #              (check_static.sh, which includes the negative probes and
-#              seqdet-lint) plus a plain build, the tier-1 ctest labels
+#              seqdet-lint) plus a plain build with warnings as errors
+#              (-DSEQDET_WERROR=ON), the tier-1 ctest labels
 #              and the end-to-end benchmark's build and self-test
 #              (perfbench/run.py --selftest, which compiles ../src on its
 #              own, so a src/ API change cannot break it unseen), then
@@ -41,7 +42,7 @@ fi
 if [[ "${STATIC_ONLY}" == "1" ]]; then
   PLAIN_DIR="${REPO_DIR}/build"
   echo "=== STATIC-ONLY: plain build + tier-1 ctest (${PLAIN_DIR}) ==="
-  cmake -B "${PLAIN_DIR}" -S "${REPO_DIR}"
+  cmake -B "${PLAIN_DIR}" -S "${REPO_DIR}" -DSEQDET_WERROR=ON
   cmake --build "${PLAIN_DIR}" -j"$(nproc)"
   ctest --test-dir "${PLAIN_DIR}" --output-on-failure -j"$(nproc)" \
       -L tier1
@@ -77,6 +78,33 @@ SEQDET="${ASAN_DIR}/tools/seqdet"
     --limit=5 > /dev/null
 "${SEQDET}" query --db="${SMOKE_DIR}/db" \
     --q="act_0 (act_1|act_2)+ !act_3 act_4 within 1h" --limit=5 > /dev/null
+
+# A numeric flag that is present but malformed, or out of range for its
+# type, must exit 2 naming the flag instead of running with the default
+# (the timeout catches a `serve` that starts anyway).
+echo "=== SMOKE: malformed numeric flags ==="
+expect_flag_error() {
+  local flag="$1"
+  shift
+  local rc=0
+  timeout 20 "${SEQDET}" "$@" > /dev/null 2> "${SMOKE_DIR}/flag.err" || rc=$?
+  if [[ "${rc}" != "2" ]] || ! grep -q -- "--${flag}=" "${SMOKE_DIR}/flag.err"
+  then
+    echo "flag smoke: 'seqdet $*' exited ${rc}, want 2 naming --${flag}" >&2
+    cat "${SMOKE_DIR}/flag.err" >&2
+    exit 1
+  fi
+}
+expect_flag_error port serve --db="${SMOKE_DIR}/db" --port=80x
+expect_flag_error port serve --db="${SMOKE_DIR}/db" --port=70000
+expect_flag_error limit detect --db="${SMOKE_DIR}/db" --pattern=act_0,act_1 \
+    --limit=-1
+expect_flag_error max-gap detect --db="${SMOKE_DIR}/db" \
+    --pattern=act_0,act_1 --max-gap=5x
+expect_flag_error topk continue --db="${SMOKE_DIR}/db" --pattern=act_0 \
+    --mode=hybrid --topk=1.5
+expect_flag_error scale generate --dataset=max_100 --scale=abc \
+    --out="${SMOKE_DIR}/unused.csv"
 
 # Sharded serving smoke (under ASan): shard-split the same log, serve the
 # two shards, front them with the router, and byte-compare routed /detect

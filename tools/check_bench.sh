@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Bench regression gate: runs the benches that have committed baseline
-# JSONs (BENCH_storage.json, BENCH_posting_blocks.json,
-# BENCH_query_parallel.json, BENCH_router.json) and fails when any
-# `speedup` or `*ms_per_query` field regresses by more than the tolerance
-# (default 20%) against the baseline — lower speedup or higher query time.
+# JSONs (BENCH_storage.json, BENCH_posting_blocks.json, BENCH_router.json)
+# and fails when any `speedup` or `*ms_per_query` field regresses by more
+# than the tolerance (default 20%) against the baseline — lower speedup or
+# higher query time.
 #
 # Wall-clock numbers on a loaded single-core box are noisy, so each bench
 # runs SEQDET_BENCH_RUNS times (default 3) and the most favorable value per
@@ -31,7 +31,7 @@ if [[ ! -d "${BUILD_DIR}" ]]; then
 fi
 echo "=== BENCH: build bench binaries ==="
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
-  --target bench_storage bench_posting_blocks bench_parallel_query bench_router
+  --target bench_storage bench_posting_blocks bench_router
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
@@ -39,18 +39,16 @@ trap 'rm -rf "${TMP_DIR}"' EXIT
 declare -A BASELINES=(
   [storage]="${REPO_DIR}/BENCH_storage.json"
   [posting_blocks]="${REPO_DIR}/BENCH_posting_blocks.json"
-  [query_parallel]="${REPO_DIR}/BENCH_query_parallel.json"
   [router]="${REPO_DIR}/BENCH_router.json"
 )
 declare -A BINARIES=(
   [storage]="${BUILD_DIR}/bench/bench_storage"
   [posting_blocks]="${BUILD_DIR}/bench/bench_posting_blocks"
-  [query_parallel]="${BUILD_DIR}/bench/bench_parallel_query"
   [router]="${BUILD_DIR}/bench/bench_router"
 )
 
 status=0
-for bench in storage posting_blocks query_parallel router; do
+for bench in storage posting_blocks router; do
   baseline="${BASELINES[$bench]}"
   binary="${BINARIES[$bench]}"
   if [[ ! -f "${baseline}" ]]; then

@@ -16,12 +16,16 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -44,6 +48,14 @@ using namespace seqdet;
 
 namespace {
 
+/// A numeric flag that is present but malformed, or out of range for the
+/// type its command reads it as. The Args getters throw it and main exits
+/// with status 2 naming the flag; unwinding closes whatever the command had
+/// opened, so no call site needs an error branch.
+struct FlagError {
+  std::string message;
+};
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -54,15 +66,38 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
+  /// --key as an integer of type T, or `fallback` when the flag is absent.
+  /// Throws FlagError when the value is not an integer or does not fit T
+  /// (--port=80x, or --limit=-1 for an unsigned count).
+  template <typename T = int64_t>
+  T GetInt(const std::string& key, std::type_identity_t<T> fallback) const {
+    // The values both T and the int64 parser can represent.
+    constexpr int64_t kMin = std::numeric_limits<T>::min();
+    constexpr int64_t kMax =
+        std::in_range<int64_t>(std::numeric_limits<T>::max())
+            ? static_cast<int64_t>(std::numeric_limits<T>::max())
+            : std::numeric_limits<int64_t>::max();
     auto it = flags.find(key);
-    int64_t v;
-    return it != flags.end() && ParseInt64(it->second, &v) ? v : fallback;
+    if (it == flags.end()) return fallback;
+    int64_t v = 0;
+    if (!ParseInt64(it->second, &v) || v < kMin || v > kMax) {
+      throw FlagError{"--" + key + "=" + it->second +
+                      ": expected an integer in [" + std::to_string(kMin) +
+                      ", " + std::to_string(kMax) + "]"};
+    }
+    return static_cast<T>(v);
   }
+  /// --key as a finite number, or `fallback` when the flag is absent.
+  /// Throws FlagError otherwise.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    double v;
-    return it != flags.end() && ParseDouble(it->second, &v) ? v : fallback;
+    if (it == flags.end()) return fallback;
+    double v = 0;
+    if (!ParseDouble(it->second, &v) || !std::isfinite(v)) {
+      throw FlagError{"--" + key + "=" + it->second +
+                      ": expected a finite number"};
+    }
+    return v;
   }
 };
 
@@ -95,8 +130,8 @@ int Usage() {
       "  info     --db=<dir> | --port=<n>  (--port asks a live server)\n"
       "  stats    --db=<dir> --pattern=a,b,c [--last-completion]\n"
       "  detect   --db=<dir> --pattern=a,b,c [--limit=N] [--max-gap=N]\n"
-      "           [--max-span=N] [--query-threads=N]\n"
-      "  query    --db=<dir> --q=<pattern> [--limit=N] [--query-threads=N]\n"
+      "           [--max-span=N]\n"
+      "  query    --db=<dir> --q=<pattern> [--limit=N]\n"
       "           or --port=<n> --q=<pattern> to GET /detect from a live\n"
       "           server or router and print the JSON response verbatim\n"
       "           pattern language: `a (b|c)+ !d e within 5m gap <= 30s`\n"
@@ -106,9 +141,6 @@ int Usage() {
       "           matches are the rule's violation witnesses\n"
       "  serve    --db=<dir> [--port=8391]   JSON-over-HTTP query service\n"
       "           [--http-threads=N]  worker pool size (default: cores)\n"
-      "           [--query-threads=N]  intra-query execution pool: posting\n"
-      "           prefetch, morselized joins, parallel continuation\n"
-      "           verification (0|1 = serial engine, the default)\n"
       "           [--max-inflight=64]  admission limit; excess queries\n"
       "           are shed with 503 + Retry-After (0 disables)\n"
       "           [--request-deadline-ms=N]  default per-query budget;\n"
@@ -139,7 +171,6 @@ int Usage() {
       "           [--scatter-threads=N] [--http-threads=N]\n"
       "  continue --db=<dir> --pattern=a,b [--mode=accurate|fast|hybrid]\n"
       "           [--topk=K] [--limit=N] [--insert-at=I]\n"
-      "           [--query-threads=N]\n"
       "           or --port=<n> --pattern=a,b [--mode=...] [--topk=K] to\n"
       "           GET /continue from a live server or router and print the\n"
       "           JSON response verbatim\n"
@@ -189,9 +220,8 @@ Result<std::unique_ptr<index::SequenceIndex>> OpenIndex(
   } else {
     return Status::InvalidArgument("unknown method: " + method);
   }
-  options.num_threads = static_cast<size_t>(args.GetInt("threads", 0));
-  options.cache_bytes = static_cast<size_t>(args.GetInt(
-      "cache-bytes", static_cast<int64_t>(options.cache_bytes)));
+  options.num_threads = args.GetInt<size_t>("threads", 0);
+  options.cache_bytes = args.GetInt<size_t>("cache-bytes", options.cache_bytes);
   return index::SequenceIndex::Open(db, options);
 }
 
@@ -276,7 +306,7 @@ int CmdInfo(const Args& args) {
     // Live mode: ask a running `seqdet serve` for its /info — the only way
     // to see serving stats (per-route latency, sheds, in-flight) and the
     // cache/maintenance counters of the process actually serving traffic.
-    server::HttpClient client(static_cast<uint16_t>(args.GetInt("port", 0)));
+    server::HttpClient client(args.GetInt<uint16_t>("port", 0));
     auto response = client.Get("/info");
     if (!response.ok()) return Fail(response.status());
     if (response->status != 200) {
@@ -380,14 +410,6 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-/// The CLI's standalone intra-query pool: --query-threads=N with N >= 2
-/// parallelizes one-shot detect/query/continue runs the same way serve
-/// does (null = serial engine).
-std::unique_ptr<ThreadPool> QueryPoolFromFlags(const Args& args) {
-  size_t n = static_cast<size_t>(args.GetInt("query-threads", 0));
-  return n > 1 ? std::make_unique<ThreadPool>(n) : nullptr;
-}
-
 int CmdDetect(const Args& args) {
   auto db = storage::Database::Open(args.Get("db"));
   if (!db.ok()) return Fail(db.status());
@@ -400,14 +422,13 @@ int CmdDetect(const Args& args) {
   if (args.Has("max-gap")) constraints.max_gap = args.GetInt("max-gap", 0);
   if (args.Has("max-span")) constraints.max_span = args.GetInt("max-span", 0);
 
-  std::unique_ptr<ThreadPool> pool = QueryPoolFromFlags(args);
-  query::QueryProcessor qp(index->get(), pool.get());
+  query::QueryProcessor qp(index->get());
   Stopwatch watch;
   auto matches = qp.Detect(*pattern, constraints);
   if (!matches.ok()) return Fail(matches.status());
   double ms = watch.ElapsedMillis();
 
-  size_t limit = static_cast<size_t>(args.GetInt("limit", 20));
+  size_t limit = args.GetInt<size_t>("limit", 20);
   for (size_t i = 0; i < matches->size() && i < limit; ++i) {
     const auto& match = (*matches)[i];
     std::printf("trace %llu:",
@@ -431,12 +452,12 @@ int CmdDetect(const Args& args) {
 /// single server a shell one-liner (tools/check_all.sh does exactly that).
 int LiveGet(const Args& args, std::string target) {
   if (args.Has("limit")) {
-    target += "&limit=" + std::to_string(args.GetInt("limit", 0));
+    target += "&limit=" + std::to_string(args.GetInt<size_t>("limit", 0));
   }
   if (args.Has("deadline-ms")) {
     target += "&deadline_ms=" + std::to_string(args.GetInt("deadline-ms", 0));
   }
-  server::HttpClient client(static_cast<uint16_t>(args.GetInt("port", 0)));
+  server::HttpClient client(args.GetInt<uint16_t>("port", 0));
   auto response = client.Get(target);
   if (!response.ok()) return Fail(response.status());
   std::printf("%s\n", response->body.c_str());
@@ -461,7 +482,7 @@ int CmdContinue(const Args& args) {
         "/continue?q=" + server::HttpClient::UrlEncode(Join(names, " -> ")) +
         "&mode=" + server::HttpClient::UrlEncode(args.Get("mode", "accurate"));
     if (args.Has("topk")) {
-      target += "&topk=" + std::to_string(args.GetInt("topk", 5));
+      target += "&topk=" + std::to_string(args.GetInt<size_t>("topk", 5));
     }
     return LiveGet(args, target);
   }
@@ -472,14 +493,13 @@ int CmdContinue(const Args& args) {
   auto pattern = PatternFromFlag(args, **index);
   if (!pattern.ok()) return Fail(pattern.status());
 
-  std::unique_ptr<ThreadPool> pool = QueryPoolFromFlags(args);
-  query::QueryProcessor qp(index->get(), pool.get());
+  query::QueryProcessor qp(index->get());
   std::string mode = args.Get("mode", "accurate");
   Stopwatch watch;
   Result<std::vector<query::ContinuationProposal>> proposals =
       Status::Internal("unset");
   if (args.Has("insert-at")) {
-    size_t at = static_cast<size_t>(args.GetInt("insert-at", 0));
+    size_t at = args.GetInt<size_t>("insert-at", 0);
     proposals = mode == "fast" ? qp.ContinueInsertFast(*pattern, at)
                                : qp.ContinueInsertAccurate(*pattern, at);
   } else if (mode == "accurate") {
@@ -487,8 +507,7 @@ int CmdContinue(const Args& args) {
   } else if (mode == "fast") {
     proposals = qp.ContinueFast(*pattern);
   } else if (mode == "hybrid") {
-    proposals = qp.ContinueHybrid(
-        *pattern, static_cast<size_t>(args.GetInt("topk", 5)));
+    proposals = qp.ContinueHybrid(*pattern, args.GetInt<size_t>("topk", 5));
   } else {
     return Fail(Status::InvalidArgument("unknown mode: " + mode));
   }
@@ -496,7 +515,7 @@ int CmdContinue(const Args& args) {
   double ms = watch.ElapsedMillis();
 
   const auto& dict = (*index)->dictionary();
-  size_t limit = static_cast<size_t>(args.GetInt("limit", 10));
+  size_t limit = args.GetInt<size_t>("limit", 10);
   for (size_t i = 0; i < proposals->size() && i < limit; ++i) {
     const auto& p = (*proposals)[i];
     std::printf("%2zu. %-24s completions=%-8llu avg_gap=%-10.2f score=%.4f\n",
@@ -530,13 +549,12 @@ int CmdQuery(const Args& args) {
   auto parsed = query::ParseExtendedPatternQuery(text, (*index)->dictionary());
   if (!parsed.ok()) return Fail(parsed.status());
 
-  std::unique_ptr<ThreadPool> pool = QueryPoolFromFlags(args);
-  query::QueryProcessor qp(index->get(), pool.get());
+  query::QueryProcessor qp(index->get());
   Stopwatch watch;
   auto matches = qp.DetectExtended(*parsed);
   if (!matches.ok()) return Fail(matches.status());
   double ms = watch.ElapsedMillis();
-  size_t limit = static_cast<size_t>(args.GetInt("limit", 20));
+  size_t limit = args.GetInt<size_t>("limit", 20);
   for (size_t i = 0; i < matches->size() && i < limit; ++i) {
     const auto& match = (*matches)[i];
     std::printf("trace %llu:",
@@ -562,49 +580,42 @@ int CmdServe(const Args& args) {
   if (!db.ok()) return Fail(db.status());
   index::MaintenanceOptions maint;
   maint.auto_fold = args.Has("auto-fold");
-  maint.check_interval_ms = static_cast<uint64_t>(args.GetInt(
-      "fold-interval-ms", static_cast<int64_t>(maint.check_interval_ms)));
-  maint.min_pending_bytes = static_cast<uint64_t>(args.GetInt(
-      "fold-min-bytes", static_cast<int64_t>(maint.min_pending_bytes)));
-  maint.min_pending_ops = static_cast<uint64_t>(args.GetInt(
-      "fold-min-ops", static_cast<int64_t>(maint.min_pending_ops)));
-  maint.rate_limit_bytes_per_sec = static_cast<uint64_t>(args.GetInt(
-      "fold-rate-limit",
-      static_cast<int64_t>(maint.rate_limit_bytes_per_sec)));
+  maint.check_interval_ms =
+      args.GetInt<uint64_t>("fold-interval-ms", maint.check_interval_ms);
+  maint.min_pending_bytes =
+      args.GetInt<uint64_t>("fold-min-bytes", maint.min_pending_bytes);
+  maint.min_pending_ops =
+      args.GetInt<uint64_t>("fold-min-ops", maint.min_pending_ops);
+  maint.rate_limit_bytes_per_sec = args.GetInt<uint64_t>(
+      "fold-rate-limit", maint.rate_limit_bytes_per_sec);
   auto index = OpenIndexAnyPolicy(db->get(), &maint);
   if (!index.ok()) return Fail(index.status());
   server::ServingOptions serving;
   serving.max_inflight =
-      static_cast<size_t>(args.GetInt("max-inflight",
-                                      static_cast<int64_t>(serving.max_inflight)));
+      args.GetInt<size_t>("max-inflight", serving.max_inflight);
   serving.default_deadline_ms =
       args.GetInt("request-deadline-ms", serving.default_deadline_ms);
-  serving.query_threads =
-      static_cast<size_t>(args.GetInt("query-threads", 0));
   server::QueryService service(index->get(), serving);
   server::HttpServerOptions http_options;
-  http_options.num_threads =
-      static_cast<size_t>(args.GetInt("http-threads", 0));
-  http_options.backlog = static_cast<int>(args.GetInt("backlog", 0));
-  http_options.max_keepalive_requests = static_cast<size_t>(args.GetInt(
-      "keepalive-max",
-      static_cast<int64_t>(http_options.max_keepalive_requests)));
+  http_options.num_threads = args.GetInt<size_t>("http-threads", 0);
+  http_options.backlog = args.GetInt<int>("backlog", 0);
+  http_options.max_keepalive_requests = args.GetInt<size_t>(
+      "keepalive-max", http_options.max_keepalive_requests);
   http_options.idle_timeout_ms =
       args.GetInt("idle-timeout-ms", http_options.idle_timeout_ms);
   server::HttpServer http(http_options);
   service.RegisterRoutes(&http);
-  uint16_t port = static_cast<uint16_t>(args.GetInt("port", 8391));
+  uint16_t port = args.GetInt<uint16_t>("port", 8391);
   Status started = http.Start(port);
   if (!started.ok()) return Fail(started);
   std::printf("query service listening on http://127.0.0.1:%u "
-              "(%zu workers, %zu query threads, max in-flight %zu, "
+              "(%zu workers, max in-flight %zu, "
               "default deadline %lld ms)\n"
               "endpoints: /health /info /detect /stats /continue\n"
               "example: curl 'http://127.0.0.1:%u/detect?q=act_0+-%%3E+act_1'\n"
               "auto-fold: %s\n"
               "Ctrl-C to stop.\n",
-              http.port(), http.options().num_threads,
-              serving.query_threads, serving.max_inflight,
+              http.port(), http.options().num_threads, serving.max_inflight,
               static_cast<long long>(serving.default_deadline_ms),
               http.port(), maint.auto_fold ? "on" : "off");
   // Serve until SIGINT/SIGTERM, then shut down cleanly: stop accepting,
@@ -711,22 +722,19 @@ int CmdRoute(const Args& args) {
       args.GetInt("hedge-after-ms", options.hedge_after_ms);
   options.connect_timeout_ms =
       args.GetInt("connect-timeout-ms", options.connect_timeout_ms);
-  options.breaker_failure_threshold = static_cast<size_t>(args.GetInt(
-      "breaker-failures",
-      static_cast<int64_t>(options.breaker_failure_threshold)));
+  options.breaker_failure_threshold = args.GetInt<size_t>(
+      "breaker-failures", options.breaker_failure_threshold);
   options.breaker_cooldown_ms =
       args.GetInt("breaker-cooldown-ms", options.breaker_cooldown_ms);
   options.allow_partial = args.Has("allow-partial");
-  options.scatter_threads =
-      static_cast<size_t>(args.GetInt("scatter-threads", 0));
+  options.scatter_threads = args.GetInt<size_t>("scatter-threads", 0);
   server::ShardRouter router(options);
 
   server::HttpServerOptions http_options;
-  http_options.num_threads =
-      static_cast<size_t>(args.GetInt("http-threads", 0));
+  http_options.num_threads = args.GetInt<size_t>("http-threads", 0);
   server::HttpServer http(http_options);
   router.RegisterRoutes(&http);
-  Status started = http.Start(static_cast<uint16_t>(args.GetInt("port", 8390)));
+  Status started = http.Start(args.GetInt<uint16_t>("port", 8390));
   if (!started.ok()) return Fail(started);
   std::printf("shard router listening on http://127.0.0.1:%u over %zu "
               "workers (deadline %lld ms, hedge after %lld ms, "
@@ -817,7 +825,7 @@ int CmdPrune(const Args& args) {
   auto index = OpenIndexAnyPolicy(db->get());
   if (!index.ok()) return Fail(index.status());
   if (!args.Has("trace")) return Usage();
-  auto trace = static_cast<eventlog::TraceId>(args.GetInt("trace", 0));
+  auto trace = args.GetInt<eventlog::TraceId>("trace", 0);
   Status pruned = (*index)->PruneTrace(trace);
   if (!pruned.ok()) return Fail(pruned);
   Status flush = (*index)->Flush();
@@ -827,10 +835,7 @@ int CmdPrune(const Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args = ParseArgs(argc, argv);
+int Run(const Args& args) {
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "index") return CmdIndex(args);
   if (args.command == "info") return CmdInfo(args);
@@ -845,4 +850,15 @@ int main(int argc, char** argv) {
   if (args.command == "fold") return CmdFold(args);
   if (args.command == "check") return CmdCheck(args);
   return Usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(ParseArgs(argc, argv));
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: invalid flag %s\n", e.message.c_str());
+    return 2;
+  }
 }
