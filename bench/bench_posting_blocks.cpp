@@ -1,10 +1,11 @@
-// Measures what the v2 block-structured posting format buys on the cold
-// read path (cache_bytes = 0, every Detect decodes stored bytes): flat v1
-// values vs folded v2 blocks whose headers let trace-selective queries skip
-// whole blocks of the hot pair lists. The workload is the shape the skip
-// metadata serves — patterns anchored on a rare activity joined against
-// hot pairs that occur in every trace — plus a hot-only control where no
-// pruning is possible (v2 must not regress).
+// Measures the block-structured posting format on the cold read path
+// (cache_bytes = 0, every Detect decodes stored bytes): folded blocks whose
+// headers let trace-selective queries skip whole blocks of the hot pair
+// lists. The workload is the shape the skip metadata serves — patterns
+// anchored on a rare activity joined against hot pairs that occur in every
+// trace — plus a hot-only control where no pruning is possible. Match
+// counts are checked against a reference index folded into one block per
+// pair, where no block can be skipped.
 //
 // Emits BENCH_posting_blocks.json (override with --out=<path>) alongside
 // the human-readable table.
@@ -64,27 +65,15 @@ struct WorkloadResult {
   std::string name;
   size_t queries = 0;
   size_t matches = 0;
-  double v1_ms_per_query = 0;
   double v2_ms_per_query = 0;
-  uint64_t v1_bytes_decoded = 0;
   uint64_t v2_bytes_decoded = 0;
   uint64_t v2_blocks_decoded = 0;
   uint64_t v2_blocks_skipped = 0;
   uint64_t v2_bytes_skipped = 0;
-
-  double Speedup() const {
-    return v2_ms_per_query > 0 ? v1_ms_per_query / v2_ms_per_query : 0;
-  }
-  double DecodedBytesReduction() const {
-    return v1_bytes_decoded > 0
-               ? 1.0 - static_cast<double>(v2_bytes_decoded) /
-                           static_cast<double>(v1_bytes_decoded)
-               : 0;
-  }
 };
 
 // One timed pass of `queries`; also returns total matches (for the
-// v1-vs-v2 equivalence check) and the decode-counter deltas of the pass.
+// equivalence check) and the decode-counter deltas of the pass.
 struct PassResult {
   double ms_per_query = 0;
   size_t matches = 0;
@@ -141,29 +130,30 @@ int main(int argc, char** argv) {
 
   eventlog::EventLog log = SkewedLog(traces, options.seed);
 
-  // Identical logs, identical (cache-less) read path; only the posting
-  // format differs. The v2 index is folded, as a maintained index would be.
-  auto build = [&](uint32_t format, std::unique_ptr<storage::Database>* db) {
+  // Identical logs, identical (cache-less) read path, both folded as a
+  // maintained index would be; only the folded block size differs.
+  auto build = [&](size_t block_bytes, std::unique_ptr<storage::Database>* db) {
     *db = bench::FreshDb();
     index::IndexOptions idx_options;
     idx_options.num_threads = options.threads;
     idx_options.cache_bytes = 0;
-    idx_options.posting_format = format;
-    return bench::BuildIndexOrDie(db->get(), log, idx_options);
+    idx_options.posting_block_bytes = block_bytes;
+    auto index = bench::BuildIndexOrDie(db->get(), log, idx_options);
+    auto fold = index->FoldPostings();
+    if (!fold.ok()) {
+      std::fprintf(stderr, "fold failed: %s\n", fold.ToString().c_str());
+      std::abort();
+    }
+    return index;
   };
-  std::unique_ptr<storage::Database> v1_db, v2_db;
-  auto v1 = build(index::kPostingFormatFlat, &v1_db);
-  auto v2 = build(index::kPostingFormatBlocked, &v2_db);
-  auto fold = v2->FoldPostings();
-  if (!fold.ok()) {
-    std::fprintf(stderr, "fold failed: %s\n", fold.ToString().c_str());
-    return 1;
-  }
-  query::QueryProcessor v1_qp(v1.get());
+  std::unique_ptr<storage::Database> reference_db, v2_db;
+  auto reference = build(size_t{1} << 40, &reference_db);
+  auto v2 = build(index::kDefaultPostingBlockBytes, &v2_db);
+  query::QueryProcessor reference_qp(reference.get());
   query::QueryProcessor v2_qp(v2.get());
 
   auto id = [&](const std::string& name) {
-    return v1->dictionary().Lookup(name);
+    return v2->dictionary().Lookup(name);
   };
   std::vector<query::Pattern> rare_anchored;
   for (size_t k = 0; k < kRareActivities; ++k) {
@@ -183,7 +173,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "=== posting format: flat v1 vs blocked v2 (folded), cache off, "
+      "=== posting format: blocked (folded), cache off, "
       "%zu traces, reps=%zu ===\n",
       traces, options.repetitions);
 
@@ -194,18 +184,22 @@ int main(int argc, char** argv) {
     WorkloadResult r;
     r.name = name;
     r.queries = queries.size();
-    PassResult p1 = RunDetectSet(*v1, v1_qp, queries, options.repetitions);
+    size_t expected = 0;
+    for (const auto& p : queries) {
+      auto matches = reference_qp.Detect(p);
+      if (!matches.ok()) std::abort();
+      expected += matches->size();
+    }
     PassResult p2 = RunDetectSet(*v2, v2_qp, queries, options.repetitions);
-    if (p1.matches != p2.matches) {
+    if (p2.matches != expected) {
       std::fprintf(stderr,
-                   "MISMATCH on %s: v1 found %zu matches, v2 found %zu\n",
-                   name.c_str(), p1.matches, p2.matches);
+                   "MISMATCH on %s: reference found %zu matches, "
+                   "blocked found %zu\n",
+                   name.c_str(), expected, p2.matches);
       counts_match = false;
     }
-    r.matches = p1.matches;
-    r.v1_ms_per_query = p1.ms_per_query;
+    r.matches = p2.matches;
     r.v2_ms_per_query = p2.ms_per_query;
-    r.v1_bytes_decoded = p1.delta.bytes_decoded;
     r.v2_bytes_decoded = p2.delta.bytes_decoded;
     r.v2_blocks_decoded = p2.delta.blocks_decoded;
     r.v2_blocks_skipped = p2.delta.blocks_skipped;
@@ -215,14 +209,10 @@ int main(int argc, char** argv) {
   run("detect_rare_anchored", rare_anchored);
   run("detect_hot_only", hot_only);
 
-  bench::TablePrinter table({"workload", "v1 ms/query", "v2 ms/query",
-                             "speedup", "v1 KiB dec/query", "v2 KiB dec/query",
+  bench::TablePrinter table({"workload", "ms/query", "KiB dec/query",
                              "blocks skipped/query"});
   for (const auto& r : results) {
-    table.AddRow({r.name, StringPrintf("%.4f", r.v1_ms_per_query),
-                  StringPrintf("%.4f", r.v2_ms_per_query),
-                  StringPrintf("%.1fx", r.Speedup()),
-                  StringPrintf("%.1f", r.v1_bytes_decoded / 1024.0),
+    table.AddRow({r.name, StringPrintf("%.4f", r.v2_ms_per_query),
                   StringPrintf("%.1f", r.v2_bytes_decoded / 1024.0),
                   StringPrintf("%llu", static_cast<unsigned long long>(
                                            r.v2_blocks_skipped))});
@@ -235,8 +225,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  std::fprintf(json, "{\n  \"bench\": \"posting_blocks\",\n");
+  bench::WriteBenchStamp(json);
   std::fprintf(json,
-               "{\n  \"bench\": \"posting_blocks\",\n"
                "  \"traces\": %zu,\n  \"scale\": %.3f,\n"
                "  \"repetitions\": %zu,\n  \"match_counts_equal\": %s,\n"
                "  \"workloads\": [\n",
@@ -247,19 +238,13 @@ int main(int argc, char** argv) {
     std::fprintf(
         json,
         "    {\"name\": \"%s\", \"queries\": %zu, \"matches\": %zu,\n"
-        "     \"v1_cold_ms_per_query\": %.4f, \"v2_cold_ms_per_query\": "
-        "%.4f, \"speedup\": %.2f,\n"
-        "     \"v1_bytes_decoded_per_query\": %llu, "
-        "\"v2_bytes_decoded_per_query\": %llu,\n"
-        "     \"decoded_bytes_reduction\": %.3f, "
-        "\"v2_blocks_decoded_per_query\": %llu,\n"
+        "     \"v2_cold_ms_per_query\": %.4f,\n"
+        "     \"v2_bytes_decoded_per_query\": %llu,\n"
+        "     \"v2_blocks_decoded_per_query\": %llu,\n"
         "     \"v2_blocks_skipped_per_query\": %llu, "
         "\"v2_bytes_skipped_per_query\": %llu}%s\n",
-        r.name.c_str(), r.queries, r.matches, r.v1_ms_per_query,
-        r.v2_ms_per_query, r.Speedup(),
-        static_cast<unsigned long long>(r.v1_bytes_decoded),
+        r.name.c_str(), r.queries, r.matches, r.v2_ms_per_query,
         static_cast<unsigned long long>(r.v2_bytes_decoded),
-        r.DecodedBytesReduction(),
         static_cast<unsigned long long>(r.v2_blocks_decoded),
         static_cast<unsigned long long>(r.v2_blocks_skipped),
         static_cast<unsigned long long>(r.v2_bytes_skipped),

@@ -219,9 +219,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  std::fprintf(json, "{\n  \"bench\": \"router\",\n");
+  bench::WriteBenchStamp(json);
   std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"router\",\n"
                "  \"traces\": %zu,\n"
                "  \"scale\": %.3f,\n"
                "  \"queries\": %zu,\n"

@@ -1,11 +1,7 @@
-// Measures what the SDSEG2 block-compressed segment format buys on disk
-// and on the cold read path. The same skewed log is indexed twice into
-// on-disk databases that differ only in segment format (flat SDSEG1 vs
-// block-compressed SDSEG2); both use the blocked *posting* format, whose
-// values arrive already bit-packed by the index, so the comparison
-// isolates the segment layer: prefix-compressed keys, block framing and
-// lazy block decode vs the same bytes in one flat run. Both formats store
-// posting values verbatim, so posting_table_size_reduction is close to 1.
+// Measures the SDSEG2 segment layer on disk and on the cold read path: a
+// skewed log is indexed into an on-disk database (folded and compacted),
+// whose posting values arrive already bit-packed by the index; the segment
+// layer adds prefix-compressed keys, block framing and lazy block decode.
 //
 // Reported:
 //   - on-disk bytes of the posting (index_p*) tables and of all segments
@@ -83,12 +79,6 @@ class TempDir {
   fs::path path_;
 };
 
-storage::DbOptions DbOptionsFor(uint32_t segment_format) {
-  storage::DbOptions options;
-  options.table.segment.format_version = segment_format;
-  return options;
-}
-
 index::IndexOptions IndexOptionsFor(const bench::BenchOptions& options) {
   index::IndexOptions idx;
   idx.num_threads = options.threads;
@@ -98,10 +88,9 @@ index::IndexOptions IndexOptionsFor(const bench::BenchOptions& options) {
 
 // Builds, folds and compacts an on-disk index, then closes it so later
 // opens measure the real open-from-disk path.
-void BuildOnDisk(const std::string& dir, uint32_t segment_format,
-                 const eventlog::EventLog& log,
+void BuildOnDisk(const std::string& dir, const eventlog::EventLog& log,
                  const bench::BenchOptions& options) {
-  auto db = storage::Database::Open(dir, DbOptionsFor(segment_format));
+  auto db = storage::Database::Open(dir);
   if (!db.ok()) {
     std::fprintf(stderr, "db open failed: %s\n",
                  db.status().ToString().c_str());
@@ -127,25 +116,17 @@ void BuildOnDisk(const std::string& dir, uint32_t segment_format,
 
 struct SizeReport {
   uint64_t posting_bytes = 0;  // index_p* segment bytes on disk
-  uint64_t posting_logical_bytes = 0;
-  uint64_t total_bytes = 0;  // all segment bytes on disk
-  size_t v1_segments = 0;
-  size_t v2_segments = 0;
+  uint64_t total_bytes = 0;    // all segment bytes on disk
 };
 
-SizeReport MeasureSizes(const std::string& dir, uint32_t segment_format) {
-  auto db = storage::Database::Open(dir, DbOptionsFor(segment_format));
+SizeReport MeasureSizes(const std::string& dir) {
+  auto db = storage::Database::Open(dir);
   if (!db.ok()) std::abort();
   SizeReport report;
-  storage::TableSegmentStats all = (*db)->GetSegmentStats();
-  report.total_bytes = all.disk_bytes;
-  report.v1_segments = all.v1_segments;
-  report.v2_segments = all.v2_segments;
+  report.total_bytes = (*db)->GetSegmentStats().disk_bytes;
   for (const std::string& name : (*db)->TableNames()) {
     if (!StartsWith(name, "index_p")) continue;
-    storage::TableSegmentStats t = (*db)->GetTable(name)->GetSegmentStats();
-    report.posting_bytes += t.disk_bytes;
-    report.posting_logical_bytes += t.logical_bytes;
+    report.posting_bytes += (*db)->GetTable(name)->GetSegmentStats().disk_bytes;
   }
   return report;
 }
@@ -185,21 +166,24 @@ struct QueryTimes {
   double cold_ms_per_query = 0;
   double hot_ms_per_query = 0;
   size_t matches = 0;
+  bool hot_matches_equal = true;  // every hot pass found the cold matches
 };
 
-// Cold = open-from-disk plus the first query pass: SDSEG1 pays its
-// whole-file parse at open, SDSEG2 parses footers at open and decodes only
-// the touched blocks during the pass, so the honest comparison charges
-// both. Hot = second pass in the same process (decoded-block caches warm,
-// posting cache off in both). Each repetition re-opens from disk.
-QueryTimes TimeQueries(const std::string& dir, uint32_t segment_format,
+// Cold = open-from-disk plus the first query pass: segments parse their
+// footers at open and decode only the touched blocks during the pass, so
+// both are charged. Hot = second pass in the same process (decoded-block
+// caches warm, posting cache off). Each repetition re-opens from disk.
+QueryTimes TimeQueries(const std::string& dir,
                        const bench::BenchOptions& options) {
   QueryTimes times;
   double cold_total = 0, hot_total = 0;
   size_t queries = 0;
-  for (size_t rep = 0; rep < options.repetitions; ++rep) {
+  // Repetition 0 is an untimed warm-up: it pays the process's one-time
+  // costs (first touch of code and allocator pages), which belong to no
+  // query.
+  for (size_t rep = 0; rep <= options.repetitions; ++rep) {
     Stopwatch cold;
-    auto db = storage::Database::Open(dir, DbOptionsFor(segment_format));
+    auto db = storage::Database::Open(dir);
     if (!db.ok()) std::abort();
     auto index =
         index::SequenceIndex::Open(db->get(), IndexOptionsFor(options));
@@ -212,11 +196,11 @@ QueryTimes TimeQueries(const std::string& dir, uint32_t segment_format,
     auto pattern_set = RareAnchoredQueries(**index);
     queries = pattern_set.size();
     times.matches = RunDetectSet(qp, pattern_set);
-    cold_total += cold.ElapsedSeconds();
+    if (rep > 0) cold_total += cold.ElapsedSeconds();
     Stopwatch hot;
     size_t hot_matches = RunDetectSet(qp, pattern_set);
-    hot_total += hot.ElapsedSeconds();
-    if (hot_matches != times.matches) std::abort();
+    if (rep > 0) hot_total += hot.ElapsedSeconds();
+    if (hot_matches != times.matches) times.hot_matches_equal = false;
   }
   double reps = static_cast<double>(options.repetitions);
   times.cold_ms_per_query =
@@ -240,97 +224,53 @@ int main(int argc, char** argv) {
 
   eventlog::EventLog log = SkewedLog(traces, options.seed);
 
-  TempDir v1_dir("v1"), v2_dir("v2");
-  BuildOnDisk(v1_dir.str(), 1, log, options);
-  BuildOnDisk(v2_dir.str(), 2, log, options);
-
-  SizeReport v1_sizes = MeasureSizes(v1_dir.str(), 1);
-  SizeReport v2_sizes = MeasureSizes(v2_dir.str(), 2);
-
-  QueryTimes v1_times = TimeQueries(v1_dir.str(), 1, options);
-  QueryTimes v2_times = TimeQueries(v2_dir.str(), 2, options);
-  bool counts_match = v1_times.matches == v2_times.matches;
-  if (!counts_match) {
-    std::fprintf(stderr, "MISMATCH: v1 found %zu matches, v2 found %zu\n",
-                 v1_times.matches, v2_times.matches);
+  TempDir dir("db");
+  BuildOnDisk(dir.str(), log, options);
+  SizeReport sizes = MeasureSizes(dir.str());
+  QueryTimes times = TimeQueries(dir.str(), options);
+  if (!times.hot_matches_equal) {
+    std::fprintf(stderr, "MISMATCH: a hot pass found other matches than "
+                         "the cold pass\n");
   }
 
-  double posting_reduction =
-      v2_sizes.posting_bytes > 0
-          ? static_cast<double>(v1_sizes.posting_bytes) /
-                static_cast<double>(v2_sizes.posting_bytes)
-          : 0;
-  double total_reduction =
-      v2_sizes.total_bytes > 0
-          ? static_cast<double>(v1_sizes.total_bytes) /
-                static_cast<double>(v2_sizes.total_bytes)
-          : 0;
-  double cold_speedup = v2_times.cold_ms_per_query > 0
-                            ? v1_times.cold_ms_per_query /
-                                  v2_times.cold_ms_per_query
-                            : 0;
-  double hot_speedup =
-      v2_times.hot_ms_per_query > 0
-          ? v1_times.hot_ms_per_query / v2_times.hot_ms_per_query
-          : 0;
-
-  std::printf(
-      "=== segment format: SDSEG1 vs SDSEG2, %zu traces, reps=%zu ===\n",
-      traces, options.repetitions);
-  bench::TablePrinter table({"metric", "SDSEG1", "SDSEG2", "ratio"});
+  std::printf("=== segment format SDSEG2, %zu traces, reps=%zu ===\n",
+              traces, options.repetitions);
+  bench::TablePrinter table({"metric", "SDSEG2"});
   table.AddRow({"posting table KiB",
-                StringPrintf("%.1f", v1_sizes.posting_bytes / 1024.0),
-                StringPrintf("%.1f", v2_sizes.posting_bytes / 1024.0),
-                StringPrintf("%.2fx smaller", posting_reduction)});
+                StringPrintf("%.1f", sizes.posting_bytes / 1024.0)});
   table.AddRow({"all segments KiB",
-                StringPrintf("%.1f", v1_sizes.total_bytes / 1024.0),
-                StringPrintf("%.1f", v2_sizes.total_bytes / 1024.0),
-                StringPrintf("%.2fx smaller", total_reduction)});
+                StringPrintf("%.1f", sizes.total_bytes / 1024.0)});
   table.AddRow({"cold detect ms/query",
-                StringPrintf("%.4f", v1_times.cold_ms_per_query),
-                StringPrintf("%.4f", v2_times.cold_ms_per_query),
-                StringPrintf("%.2fx", cold_speedup)});
+                StringPrintf("%.4f", times.cold_ms_per_query)});
   table.AddRow({"hot detect ms/query",
-                StringPrintf("%.4f", v1_times.hot_ms_per_query),
-                StringPrintf("%.4f", v2_times.hot_ms_per_query),
-                StringPrintf("%.2fx", hot_speedup)});
+                StringPrintf("%.4f", times.hot_ms_per_query)});
   table.Print();
-  if (!counts_match) return 1;
+  if (!times.hot_matches_equal) return 1;
 
   FILE* json = std::fopen(out_path.c_str(), "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  std::fprintf(json, "{\n  \"bench\": \"storage\",\n");
+  bench::WriteBenchStamp(json);
   std::fprintf(
       json,
-      "{\n  \"bench\": \"storage\",\n"
       "  \"traces\": %zu,\n  \"scale\": %.3f,\n  \"repetitions\": %zu,\n"
       "  \"match_counts_equal\": %s,\n"
-      "  \"posting_table_bytes_v1\": %llu,\n"
       "  \"posting_table_bytes_v2\": %llu,\n"
-      "  \"posting_table_size_reduction\": %.3f,\n"
-      "  \"total_segment_bytes_v1\": %llu,\n"
       "  \"total_segment_bytes_v2\": %llu,\n"
-      "  \"total_segment_size_reduction\": %.3f,\n"
       "  \"workloads\": [\n"
       "    {\"name\": \"detect_rare_cold\", \"matches\": %zu,\n"
-      "     \"v1_ms_per_query\": %.4f, \"v2_ms_per_query\": %.4f,\n"
-      "     \"speedup\": %.3f},\n"
+      "     \"v2_ms_per_query\": %.4f},\n"
       "    {\"name\": \"detect_rare_hot\", \"matches\": %zu,\n"
-      "     \"v1_ms_per_query\": %.4f, \"v2_ms_per_query\": %.4f,\n"
-      "     \"speedup\": %.3f}\n"
+      "     \"v2_ms_per_query\": %.4f}\n"
       "  ]\n}\n",
       traces, options.scale, options.repetitions,
-      counts_match ? "true" : "false",
-      static_cast<unsigned long long>(v1_sizes.posting_bytes),
-      static_cast<unsigned long long>(v2_sizes.posting_bytes),
-      posting_reduction,
-      static_cast<unsigned long long>(v1_sizes.total_bytes),
-      static_cast<unsigned long long>(v2_sizes.total_bytes), total_reduction,
-      v1_times.matches, v1_times.cold_ms_per_query,
-      v2_times.cold_ms_per_query, cold_speedup, v1_times.matches,
-      v1_times.hot_ms_per_query, v2_times.hot_ms_per_query, hot_speedup);
+      times.hot_matches_equal ? "true" : "false",
+      static_cast<unsigned long long>(sizes.posting_bytes),
+      static_cast<unsigned long long>(sizes.total_bytes), times.matches,
+      times.cold_ms_per_query, times.matches, times.hot_ms_per_query);
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -2,9 +2,12 @@
 #define SEQDET_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -151,6 +154,40 @@ class TablePrinter {
   std::vector<size_t> widths_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Writes the provenance stamp of a bench result as three JSON object
+/// members, each followed by ",\n": `hardware_concurrency`, `cpu_model`
+/// (the first "model name" of /proc/cpuinfo) and `commit` (the
+/// SEQDET_BENCH_COMMIT environment variable). Unknown values read
+/// "unknown". A timing means little without the box it ran on.
+inline void WriteBenchStamp(FILE* json) {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (!StartsWith(line, "model name")) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos) {
+      cpu_model = std::string(Trim(std::string_view(line).substr(colon + 1)));
+    }
+    break;
+  }
+  const char* env = std::getenv("SEQDET_BENCH_COMMIT");
+  std::string commit = env != nullptr && *env != '\0' ? env : "unknown";
+  // Neither value should hold JSON metacharacters; blank any that do.
+  for (std::string* text : {&cpu_model, &commit}) {
+    for (char& c : *text) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        c = ' ';
+      }
+    }
+  }
+  std::fprintf(json,
+               "  \"hardware_concurrency\": %u,\n"
+               "  \"cpu_model\": \"%s\",\n"
+               "  \"commit\": \"%s\",\n",
+               std::thread::hardware_concurrency(), cpu_model.c_str(),
+               commit.c_str());
+}
 
 inline std::string Secs(double seconds) {
   return StringPrintf("%.3f", seconds);

@@ -79,41 +79,8 @@ std::string PairIndexTable::EncodeKey(const EventTypePair& pair) {
   return key;
 }
 
-void PairIndexTable::EncodePosting(const PairOccurrence& occurrence,
-                                   std::string* out) {
-  PutVarint64(out, occurrence.trace);
-  PutVarint64SignedZigZag(out, occurrence.ts_first);
-  // Durations are non-negative, so delta-encode the second timestamp.
-  PutVarint64(out,
-              static_cast<uint64_t>(occurrence.ts_second -
-                                    occurrence.ts_first));
-}
-
-bool PairIndexTable::DecodePostings(std::string_view data,
-                                    std::vector<PairOccurrence>* out) {
-  while (!data.empty()) {
-    uint64_t trace, duration;
-    int64_t ts_first;
-    if (!GetVarint64(&data, &trace) ||
-        !GetVarint64SignedZigZag(&data, &ts_first) ||
-        !GetVarint64(&data, &duration)) {
-      out->clear();  // never leave a partially decoded list behind
-      return false;
-    }
-    out->push_back(PairOccurrence{trace, ts_first,
-                                  ts_first + static_cast<int64_t>(duration)});
-  }
-  return true;
-}
-
 void PairIndexTable::EncodeValue(const std::vector<PairOccurrence>& postings,
-                                 std::string* out) const {
-  if (format_version_ == kPostingFormatFlat) {
-    for (const PairOccurrence& occurrence : postings) {
-      EncodePosting(occurrence, out);
-    }
-    return;
-  }
+                                 std::string* out) {
   if (std::is_sorted(postings.begin(), postings.end())) {
     EncodePostingBlocks(postings, kDefaultPostingBlockBytes, out);
   } else {
@@ -121,13 +88,6 @@ void PairIndexTable::EncodeValue(const std::vector<PairOccurrence>& postings,
     std::sort(sorted.begin(), sorted.end());
     EncodePostingBlocks(sorted, kDefaultPostingBlockBytes, out);
   }
-}
-
-bool PairIndexTable::DecodeValue(std::string_view data,
-                                 std::vector<PairOccurrence>* out) const {
-  return format_version_ == kPostingFormatFlat
-             ? DecodePostings(data, out)
-             : DecodeBlockedPostings(data, out);
 }
 
 void PairIndexTable::StageAppend(const EventTypePair& pair,
@@ -146,7 +106,7 @@ Result<std::vector<PairOccurrence>> PairIndexTable::Get(
   if (s.IsNotFound()) return std::vector<PairOccurrence>{};
   SEQDET_RETURN_IF_ERROR(s);
   std::vector<PairOccurrence> postings;
-  if (!DecodeValue(value, &postings)) {
+  if (!DecodeBlockedPostings(value, &postings)) {
     return Status::Corruption("bad Index posting list");
   }
   // Appends from successive update batches interleave traces; queries group
@@ -183,17 +143,12 @@ bool BlocksNeedFold(const std::vector<PostingBlockRef>& refs,
 }  // namespace
 
 bool PairIndexTable::NeedsFold(std::string_view value,
-                               size_t target_block_bytes) const {
-  if (format_version_ == kPostingFormatBlocked) {
-    std::vector<PostingBlockRef> refs;
-    // Undecodable values are "fold-worthy" so the pass surfaces the
-    // corruption instead of silently skipping it.
-    if (!ParsePostingBlockRefs(value, &refs)) return true;
-    return BlocksNeedFold(refs, target_block_bytes);
-  }
-  std::vector<PairOccurrence> postings;
-  if (!DecodePostings(value, &postings)) return true;
-  return !std::is_sorted(postings.begin(), postings.end());
+                               size_t target_block_bytes) {
+  std::vector<PostingBlockRef> refs;
+  // Undecodable values are "fold-worthy" so the pass surfaces the
+  // corruption instead of silently skipping it.
+  if (!ParsePostingBlockRefs(value, &refs)) return true;
+  return BlocksNeedFold(refs, target_block_bytes);
 }
 
 Result<PostingFragmentation> PairIndexTable::Fragmentation(
@@ -203,18 +158,10 @@ Result<PostingFragmentation> PairIndexTable::Fragmentation(
       "", "", [&](std::string_view, std::string_view value) {
         ++out.keys;
         out.value_bytes += value.size();
-        if (format_version_ == kPostingFormatBlocked) {
-          std::vector<PostingBlockRef> refs;
-          if (ParsePostingBlockRefs(value, &refs)) {
-            out.blocks += refs.size();
-            if (BlocksNeedFold(refs, target_block_bytes)) {
-              ++out.fragmented_keys;
-              out.fragment_bytes += value.size();
-            }
-            return true;
-          }
-        }
-        if (NeedsFold(value, target_block_bytes)) {
+        std::vector<PostingBlockRef> refs;
+        const bool parsed = ParsePostingBlockRefs(value, &refs);
+        if (parsed) out.blocks += refs.size();
+        if (!parsed || BlocksNeedFold(refs, target_block_bytes)) {
           ++out.fragmented_keys;
           out.fragment_bytes += value.size();
         }
@@ -240,56 +187,7 @@ Status PairIndexTable::FoldAll(size_t target_block_bytes, FoldStats* stats,
     Status s = table_->RewriteValue(
         key, [&](std::string_view current, std::string* rewritten) {
           std::vector<PairOccurrence> postings;
-          if (!DecodeValue(current, &postings)) {
-            return Status::Corruption("bad Index posting list");
-          }
-          if (!std::is_sorted(postings.begin(), postings.end())) {
-            std::sort(postings.begin(), postings.end());
-          }
-          if (format_version_ == kPostingFormatBlocked) {
-            EncodePostingBlocks(postings, target_block_bytes, rewritten);
-          } else {
-            for (const PairOccurrence& occurrence : postings) {
-              EncodePosting(occurrence, rewritten);
-            }
-          }
-          fs->bytes_read += current.size();
-          fs->bytes_written += rewritten->size();
-          return Status::OK();
-        });
-    if (s.IsNotFound()) continue;  // key deleted since the scan
-    SEQDET_RETURN_IF_ERROR(s);
-    ++fs->keys_folded;
-    if (pace) SEQDET_RETURN_IF_ERROR(pace(*fs));
-  }
-  return Status::OK();
-}
-
-Status PairIndexTable::UpgradeToBlocked(size_t target_block_bytes,
-                                        FoldStats* stats,
-                                        const FoldPace& pace) {
-  FoldStats local;
-  FoldStats* fs = stats != nullptr ? stats : &local;
-  std::vector<std::string> keys;
-  SEQDET_RETURN_IF_ERROR(table_->Scan(
-      "", "", [&](std::string_view key, std::string_view) {
-        ++fs->keys_scanned;
-        keys.emplace_back(key);
-        return true;
-      }));
-  for (const std::string& key : keys) {
-    Status s = table_->RewriteValue(
-        key, [&](std::string_view current, std::string* rewritten) {
-          // Roll-forward tolerance: a value this pass (or an interrupted
-          // predecessor) already rewrote parses as valid v3 blocks — keep
-          // its v3 decoding. Everything else is v1. A flat stream that
-          // accidentally forms a valid block chain is astronomically
-          // unlikely (header counts must match payload byte lengths
-          // exactly across every block); DESIGN.md §9 documents the
-          // heuristic.
-          std::vector<PairOccurrence> postings;
-          if (!DecodeBlockedPostings(current, &postings) &&
-              !DecodePostings(current, &postings)) {
+          if (!DecodeBlockedPostings(current, &postings)) {
             return Status::Corruption("bad Index posting list");
           }
           if (!std::is_sorted(postings.begin(), postings.end())) {
@@ -300,12 +198,11 @@ Status PairIndexTable::UpgradeToBlocked(size_t target_block_bytes,
           fs->bytes_written += rewritten->size();
           return Status::OK();
         });
-    if (s.IsNotFound()) continue;
+    if (s.IsNotFound()) continue;  // key deleted since the scan
     SEQDET_RETURN_IF_ERROR(s);
     ++fs->keys_folded;
     if (pace) SEQDET_RETURN_IF_ERROR(pace(*fs));
   }
-  format_version_ = kPostingFormatBlocked;
   return Status::OK();
 }
 

@@ -55,21 +55,16 @@ class SeqTable {
 // Index: (ev_a, ev_b) -> [(trace, ts_a, ts_b), ...]  (appendable)
 // ---------------------------------------------------------------------------
 
-/// Posting-list value format versions (persisted in the meta table as
-/// `posting_format` and fixed per index, never mixed within one value).
-///  * 1: flat varint posting stream (the seed format); FoldPostings()
-///    upgrades it in place to 3;
-///  * 2: retired (blocks with varint payloads); such an index does not
-///    open and must be rebuilt;
-///  * 3: block-structured with skip headers and bit-packed payloads
-///    (posting_blocks.h). Appends write mini-blocks; FoldPostings()
-///    rewrites fragment piles into globally sorted target-size blocks.
-inline constexpr uint32_t kPostingFormatFlat = 1;
-inline constexpr uint32_t kPostingFormatRetiredVarintBlocks = 2;
+/// Posting-list value format (persisted in the meta table as
+/// `posting_format`): block-structured with skip headers and bit-packed
+/// payloads (posting_blocks.h). Appends write mini-blocks; FoldPostings()
+/// rewrites fragment piles into globally sorted target-size blocks. The
+/// earlier formats 1 (flat varint stream) and 2 (blocks with varint
+/// payloads) are retired: such an index does not open and must be rebuilt.
 inline constexpr uint32_t kPostingFormatBlocked = 3;
 
-/// Progress counters of one fold pass (PairIndexTable::FoldAll /
-/// UpgradeToBlocked, CountTable::FoldAll).
+/// Progress counters of one fold pass (PairIndexTable::FoldAll,
+/// CountTable::FoldAll).
 struct FoldStats {
   size_t keys_scanned = 0;  // every live key visited by the candidate scan
   size_t keys_folded = 0;   // keys actually rewritten
@@ -86,8 +81,7 @@ using FoldPace = std::function<Status(const FoldStats&)>;
 /// Block-level shape of a table's stored posting lists, the signal the
 /// maintenance service (and `seqdet info`) read to decide whether a fold
 /// pass would pay off. `fragment_bytes` counts bytes in values a fold would
-/// rewrite; for v1 tables no block metadata exists, so every unsorted
-/// value's bytes count and `blocks` stays 0.
+/// rewrite.
 struct PostingFragmentation {
   size_t keys = 0;
   size_t blocks = 0;
@@ -105,28 +99,15 @@ struct PostingFragmentation {
 
 class PairIndexTable {
  public:
-  explicit PairIndexTable(storage::Kv* table,
-                          uint32_t format_version = kPostingFormatBlocked)
-      : table_(table), format_version_(format_version) {}
+  explicit PairIndexTable(storage::Kv* table) : table_(table) {}
 
   static std::string EncodeKey(const EventTypePair& pair);
-  static void EncodePosting(const PairOccurrence& occurrence,
-                            std::string* out);
-  /// v1 decoder. False (and `*out` cleared) on corruption, so callers
-  /// never observe a partially decoded list.
-  static bool DecodePostings(std::string_view data,
-                             std::vector<PairOccurrence>* out);
 
-  /// Encodes `postings` as one value fragment in this table's format
-  /// (flat stream for v1, block sequence for v3). v3 requires sorted
-  /// input; unsorted postings are sorted into a local copy first.
-  void EncodeValue(const std::vector<PairOccurrence>& postings,
-                   std::string* out) const;
-
-  /// Decodes a stored value in this table's format. False (and `*out`
-  /// cleared) on corruption.
-  bool DecodeValue(std::string_view data,
-                   std::vector<PairOccurrence>* out) const;
+  /// Encodes `postings` as one value fragment (a block sequence). Blocks
+  /// require sorted input; unsorted postings are sorted into a local copy
+  /// first. Stored values decode with DecodeBlockedPostings().
+  static void EncodeValue(const std::vector<PairOccurrence>& postings,
+                          std::string* out);
 
   void StageAppend(const EventTypePair& pair,
                    const std::vector<PairOccurrence>& postings,
@@ -137,9 +118,8 @@ class PairIndexTable {
   Result<std::vector<PairOccurrence>> Get(const EventTypePair& pair) const;
 
   /// Incremental maintenance fold: rewrites each key whose value has
-  /// accumulated append fragments into one globally sorted value in the
-  /// table's *current* format (sorted flat stream for v1, sorted
-  /// ~target_block_bytes blocks for v3). Each key commits atomically
+  /// accumulated append fragments into one globally sorted value of
+  /// ~target_block_bytes blocks. Each key commits atomically
   /// through Kv::RewriteValue(), so the pass is safe to run concurrently
   /// with writers and readers: a concurrent Detect sees either the old
   /// fragments or the folded value, and appends landing mid-pass are
@@ -149,38 +129,21 @@ class PairIndexTable {
   Status FoldAll(size_t target_block_bytes = kDefaultPostingBlockBytes,
                  FoldStats* stats = nullptr, const FoldPace& pace = {});
 
-  /// v1 -> v3 upgrade: rewrites every key as globally sorted v3 blocks and
-  /// switches this table object to the blocked format. Each key commits
-  /// atomically, but the pass as a whole is not format-atomic — the caller
-  /// must bracket it with a durable upgrade marker (SequenceIndex does)
-  /// so an interrupted upgrade is rolled forward on reopen, and must not
-  /// serve reads mid-pass (values are temporarily mixed v1/v3). Values
-  /// that already parse as valid v3 blocks are re-encoded from their v3
-  /// decoding, which makes the pass idempotent for roll-forward.
-  Status UpgradeToBlocked(size_t target_block_bytes =
-                              kDefaultPostingBlockBytes,
-                          FoldStats* stats = nullptr,
-                          const FoldPace& pace = {});
+  /// True when a fold pass would rewrite `value`: values whose blocks
+  /// overlap in trace range (append fragments) or run undersized, and
+  /// values that do not parse. Fold output is stable — a freshly folded
+  /// value never needs folding again.
+  static bool NeedsFold(std::string_view value, size_t target_block_bytes);
 
-  /// True when a fold pass would rewrite `value`: v3 values whose blocks
-  /// overlap in trace range (append fragments) or run undersized, v1
-  /// values whose posting stream is not sorted. Fold output is stable —
-  /// a freshly folded value never needs folding again.
-  bool NeedsFold(std::string_view value, size_t target_block_bytes) const;
-
-  /// Scans block headers (v3) or value shapes (v1) to report how
-  /// fragmented the stored posting lists currently are. Read-only.
+  /// Scans block headers to report how fragmented the stored posting lists
+  /// currently are. Read-only.
   Result<PostingFragmentation> Fragmentation(
       size_t target_block_bytes = kDefaultPostingBlockBytes) const;
-
-  uint32_t format_version() const { return format_version_; }
-  void set_format_version(uint32_t version) { format_version_ = version; }
 
   storage::Kv* table() const { return table_; }
 
  private:
   storage::Kv* table_;
-  uint32_t format_version_;
 };
 
 // ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ Status MaintenanceService::RunCycle() {
     return Status::OK();
   };
 
-  Status s = index_->FoldPostingsIncremental(&fold_stats, pace);
+  Status s = index_->FoldPostings(&fold_stats, pace);
   keys_folded_.fetch_add(fold_stats.keys_folded, std::memory_order_relaxed);
   bytes_rewritten_.fetch_add(fold_stats.bytes_written,
                              std::memory_order_relaxed);

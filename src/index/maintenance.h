@@ -73,15 +73,10 @@ struct MaintenanceStats {
 /// build workers are never blocked by maintenance) loops: sleep for
 /// check_interval_ms (or a Kick()), test the index's pending-append
 /// counters against the thresholds, and when exceeded run one cycle —
-/// FoldPostingsIncremental() plus CompactStatistics(). Every per-key fold
-/// commit is atomic (Kv::RewriteValue), so cycles run concurrently with
+/// FoldPostings() plus CompactStatistics(). Every per-key fold commit is
+/// atomic (Kv::RewriteValue), so cycles run concurrently with
 /// Update()/Detect()/DetectBatch(); Stop() quiesces by finishing the
 /// in-flight key and aborting the rest of the pass via the pace callback.
-///
-/// The service never runs the v1 -> v3 format upgrade (that rewires the
-/// decode path and must not race reads); on a v1 index cycles do
-/// format-preserving sorted-flat folds and the upgrade stays an explicit
-/// FoldPostings() / `seqdet fold` call.
 class MaintenanceService {
  public:
   /// The index must outlive the service. The constructor does not start

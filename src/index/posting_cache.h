@@ -31,7 +31,7 @@ struct PostingCacheStats {
 ///  * whole-list entries keyed by (period, EventTypePair) — decoded,
 ///    sorted full posting lists (Get/Put);
 ///  * block entries keyed by (period, EventTypePair, block ordinal) —
-///    one decoded v3 posting block each (GetBlock/PutBlock), filled by the
+///    one decoded posting block each (GetBlock/PutBlock), filled by the
 ///    trace-selective read path so hot blocks stay decoded while cold
 ///    blocks stay compressed in the store.
 /// Values are immutable `shared_ptr<const vector<PairOccurrence>>`
@@ -81,7 +81,7 @@ class PostingCache {
            Snapshot postings);
 
   /// Block-granularity variants: the snapshot holds the decoded postings
-  /// of one v3 block, keyed by its ordinal within the stored value. The
+  /// of one block, keyed by its ordinal within the stored value. The
   /// version tag covers the block layout too — any table mutation
   /// (append, fold, compaction) bumps the version, so a stale ordinal can
   /// never alias a reorganized value.

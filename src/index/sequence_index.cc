@@ -25,17 +25,6 @@ constexpr std::string_view kActivitiesKey = "activities";
 constexpr std::string_view kShardCountKey = "shard_count";
 constexpr std::string_view kPolicyKey = "policy";
 constexpr std::string_view kPostingFormatKey = "posting_format";
-// Present (any value) while a v1 -> v3 posting upgrade is in flight. Written
-// durably before the first value rewrite and cleared after the format flip,
-// so a crash mid-upgrade is detected and rolled forward on reopen instead
-// of serving mixed-format values with a v1 decoder.
-constexpr std::string_view kPostingUpgradeKey = "posting_upgrade";
-// Highest segment file format ever written by this index. Roll-forward
-// only: once a fold has emitted an SDSEG2 segment the index keeps writing
-// v2 even when reopened with a v1-configured Database, so segment files
-// never oscillate between formats across restarts. v1 segments remain
-// readable either way.
-constexpr std::string_view kSegmentFormatKey = "segment_format";
 
 // Saturating subtract: concurrent fold passes (service + a manual
 // FoldPostings) may both observe and consume overlapping pending load;
@@ -119,72 +108,34 @@ Status SequenceIndex::OpenTables() {
   shards_ = static_cast<size_t>(shards);
 
   // Posting-list value format. Persisted because stored bytes are only
-  // decodable with the format that wrote them; an index predating the
-  // field (no key, but not fresh) is v1 flat. FoldPostings() upgrades.
+  // decodable with the format that wrote them. Only the blocked format is
+  // read: an index in a retired format (1 or 2, or one predating the key,
+  // which is flat 1) must be rebuilt. A `posting_upgrade` key left by the
+  // retired in-place 1 -> 3 upgrade is ignored: beside format 3 it can
+  // only remain from an upgrade that completed.
   {
     std::string value;
     Status s = meta_->Get(kPostingFormatKey, &value);
+    uint64_t format = 1;
     if (s.ok()) {
       std::string_view cursor(value);
-      uint64_t format = 0;
       if (!GetVarint64(&cursor, &format)) {
         return Status::Corruption("bad meta posting_format");
       }
-      if (format == kPostingFormatRetiredVarintBlocks) {
-        return Status::Unsupported(
-            "index stores posting_format 2 (varint posting blocks), which "
-            "this version no longer reads; rebuild the index from its log");
-      }
-      if (format != kPostingFormatFlat && format != kPostingFormatBlocked) {
-        return Status::Corruption("bad meta posting_format");
-      }
-      posting_format_ = static_cast<uint32_t>(format);
-    } else if (s.IsNotFound()) {
-      if (fresh_index) {
-        posting_format_ = options_.posting_format != 0
-                              ? options_.posting_format
-                              : kPostingFormatBlocked;
-        if (posting_format_ != kPostingFormatFlat &&
-            posting_format_ != kPostingFormatBlocked) {
-          return Status::InvalidArgument("bad IndexOptions::posting_format");
-        }
-      } else {
-        posting_format_ = kPostingFormatFlat;
-      }
-      SEQDET_RETURN_IF_ERROR(PersistPostingFormat());
-    } else {
-      return s;
-    }
-  }
-
-  // Segment file format marker. The effective format is the max of the
-  // stored marker and the configured format: a database that ever wrote
-  // SDSEG2 keeps writing it (roll-forward, mirroring posting_upgrade), and
-  // an old index opened by a new binary upgrades durably on first open.
-  {
-    uint64_t configured = db_->segment_format();
-    uint64_t stored = 0;
-    std::string value;
-    Status s = meta_->Get(kSegmentFormatKey, &value);
-    if (s.ok()) {
-      std::string_view cursor(value);
-      if (!GetVarint64(&cursor, &stored) || stored < 1 || stored > 2) {
-        return Status::Corruption("bad meta segment_format");
-      }
     } else if (!s.IsNotFound()) {
       return s;
-    }
-    uint64_t effective = std::max<uint64_t>(configured, stored);
-    if (effective < 1 || effective > 2) {
-      return Status::InvalidArgument("bad segment format_version");
-    }
-    if (effective != stored) {
+    } else if (fresh_index) {
+      format = kPostingFormatBlocked;
       std::string encoded;
-      PutVarint64(&encoded, effective);
-      SEQDET_RETURN_IF_ERROR(meta_->Put(kSegmentFormatKey, encoded));
+      PutVarint64(&encoded, format);
+      SEQDET_RETURN_IF_ERROR(meta_->Put(kPostingFormatKey, encoded));
     }
-    // Apply to the already-open meta table and to every table opened below.
-    db_->SetSegmentFormat(static_cast<uint32_t>(effective));
+    if (format != kPostingFormatBlocked) {
+      return Status::Unsupported(StringPrintf(
+          "index stores posting_format %llu, which this version does not "
+          "read; rebuild the index from its log",
+          static_cast<unsigned long long>(format)));
+    }
   }
 
   // The detection policy is baked into the stored pair semantics; reopening
@@ -243,32 +194,10 @@ Status SequenceIndex::OpenTables() {
         storage::Kv * t,
         open(StringPrintf("index_p%llu",
                           static_cast<unsigned long long>(p))));
-    index_tables_.push_back(
-        std::make_unique<PairIndexTable>(t, posting_format_));
+    index_tables_.push_back(std::make_unique<PairIndexTable>(t));
   }
   SEQDET_RETURN_IF_ERROR(LoadDictionary());
-  SEQDET_RETURN_IF_ERROR(PersistPeriodCount());
-
-  // Roll forward an interrupted v1 -> v3 posting upgrade before serving
-  // any reads: with the marker set, values may be mixed v1/v3 and neither
-  // decoder alone is safe. UpgradePostingFormat is idempotent (values
-  // already rewritten re-encode from their v3 decoding).
-  {
-    std::string value;
-    Status s = meta_->Get(kPostingUpgradeKey, &value);
-    if (s.ok()) {
-      SEQDET_RETURN_IF_ERROR(UpgradePostingFormat(nullptr, {}));
-    } else if (!s.IsNotFound()) {
-      return s;
-    }
-  }
-  return Status::OK();
-}
-
-Status SequenceIndex::PersistPostingFormat() {
-  std::string value;
-  PutVarint64(&value, posting_format_);
-  return meta_->Put(kPostingFormatKey, value);
+  return PersistPeriodCount();
 }
 
 Status SequenceIndex::LoadDictionary() {
@@ -308,8 +237,7 @@ Status SequenceIndex::StartNewPeriod() {
           StringPrintf("index_p%llu",
                        static_cast<unsigned long long>(index_tables_.size())),
           shards_));
-  index_tables_.push_back(
-      std::make_unique<PairIndexTable>(t, posting_format_));
+  index_tables_.push_back(std::make_unique<PairIndexTable>(t));
   return PersistPeriodCount();
 }
 
@@ -579,16 +507,15 @@ Result<std::vector<PairOccurrence>> SequenceIndex::ReadPeriodPostings(
       PairIndexTable::EncodeKey(pair), &value);
   if (s.IsNotFound()) return std::vector<PairOccurrence>{};
   SEQDET_RETURN_IF_ERROR(s);
-  return DecodePeriodValue(period, value, nullptr);
+  return DecodePeriodValue(value, nullptr);
 }
 
 Result<std::vector<PairOccurrence>> SequenceIndex::DecodePeriodValue(
-    size_t period, std::string_view value,
-    const std::vector<PostingBlockRef>* refs) const {
+    std::string_view value, const std::vector<PostingBlockRef>* refs) const {
   std::vector<PairOccurrence> postings;
   const bool ok = refs != nullptr
                       ? DecodePostingBlocks(value, *refs, &postings)
-                      : index_tables_[period]->DecodeValue(value, &postings);
+                      : DecodeBlockedPostings(value, &postings);
   if (!ok) return Status::Corruption("bad Index posting list");
   read_counters_.bytes_decoded.fetch_add(value.size(),
                                          std::memory_order_relaxed);
@@ -671,23 +598,14 @@ Result<PairPostingSummary> SequenceIndex::GetPairSummary(
     Status s = index_tables_[p]->table()->Get(key, &value);
     if (s.IsNotFound()) continue;
     SEQDET_RETURN_IF_ERROR(s);
-    if (index_tables_[p]->format_version() == kPostingFormatBlocked) {
-      std::vector<PostingBlockRef> refs;
-      if (!ParsePostingBlockRefs(value, &refs)) {
-        return Status::Corruption("bad Index posting list");
-      }
-      for (const PostingBlockRef& ref : refs) {
-        intervals.push_back(
-            TraceInterval{ref.header.min_trace, ref.header.max_trace});
-        summary.postings += ref.header.count;
-      }
-    } else {
-      // Flat values carry no skip metadata: count is a byte estimate and
-      // the trace range is unbounded.
-      summary.exact = false;
+    std::vector<PostingBlockRef> refs;
+    if (!ParsePostingBlockRefs(value, &refs)) {
+      return Status::Corruption("bad Index posting list");
+    }
+    for (const PostingBlockRef& ref : refs) {
       intervals.push_back(
-          TraceInterval{0, std::numeric_limits<uint64_t>::max()});
-      summary.postings += value.size() / 12 + 1;
+          TraceInterval{ref.header.min_trace, ref.header.max_trace});
+      summary.postings += ref.header.count;
     }
   }
   summary.traces = TraceIntervalSet::FromIntervals(std::move(intervals));
@@ -714,22 +632,6 @@ Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
     Status s = index_tables_[p]->table()->Get(key, &value);
     if (s.IsNotFound()) continue;
     SEQDET_RETURN_IF_ERROR(s);
-    if (index_tables_[p]->format_version() != kPostingFormatBlocked) {
-      // Filter before the final sort: a flat value of append fragments is
-      // unsorted, and sorting only the candidates' postings is cheaper.
-      std::vector<PairOccurrence> postings;
-      if (!PairIndexTable::DecodePostings(value, &postings)) {
-        return Status::Corruption("bad Index posting list");
-      }
-      read_counters_.bytes_decoded.fetch_add(value.size(),
-                                             std::memory_order_relaxed);
-      read_counters_.postings_decoded.fetch_add(postings.size(),
-                                                std::memory_order_relaxed);
-      for (const PairOccurrence& posting : postings) {
-        if (candidates.Contains(posting.trace)) merged.push_back(posting);
-      }
-      continue;
-    }
     std::vector<PostingBlockRef> refs;
     if (!ParsePostingBlockRefs(value, &refs)) {
       return Status::Corruption("bad Index posting list");
@@ -741,7 +643,7 @@ Result<PostingCache::Snapshot> SequenceIndex::GetPairPostingsFiltered(
         });
     if (!skips_any) {
       SEQDET_ASSIGN_OR_RETURN(auto postings,
-                              DecodePeriodValue(p, value, &refs));
+                              DecodePeriodValue(value, &refs));
       read_counters_.blocks_decoded.fetch_add(refs.size(),
                                               std::memory_order_relaxed);
       PostingCache::Snapshot whole =
@@ -924,7 +826,7 @@ Result<ConsistencyReport> SequenceIndex::CheckConsistency() const {
           }
           EventTypePair pair{first, second};
           std::vector<PairOccurrence> postings;
-          if (!index_tables_[period]->DecodeValue(value, &postings)) {
+          if (!DecodeBlockedPostings(value, &postings)) {
             violate(StringPrintf("pair (%u,%u): undecodable posting list",
                                  first, second));
             return true;
@@ -1067,14 +969,6 @@ Status SequenceIndex::CompactStatistics(FoldStats* stats,
 }
 
 Status SequenceIndex::FoldPostings(FoldStats* stats, const FoldPace& pace) {
-  if (posting_format_ != kPostingFormatBlocked) {
-    return UpgradePostingFormat(stats, pace);
-  }
-  return FoldPostingsIncremental(stats, pace);
-}
-
-Status SequenceIndex::FoldPostingsIncremental(FoldStats* stats,
-                                              const FoldPace& pace) {
   // Snapshot the pending load first: anything staged before this point is
   // covered by the pass (per-key rewrites re-read under the write lock);
   // appends racing in later stay pending for the next cycle.
@@ -1086,33 +980,6 @@ Status SequenceIndex::FoldPostingsIncremental(FoldStats* stats,
   for (const auto& table : index_tables_) {
     SEQDET_RETURN_IF_ERROR(table->table()->Compact());
   }
-  ConsumePending(pending_fold_bytes_, observed.bytes);
-  ConsumePending(pending_fold_ops_, observed.ops);
-  return Status::OK();
-}
-
-Status SequenceIndex::UpgradePostingFormat(FoldStats* stats,
-                                           const FoldPace& pace) {
-  // Durable marker first (Flush makes it segment-backed, not just WAL'd):
-  // from here until the marker clears, a crash leaves mixed v1/v3 values
-  // and reopen must finish the rewrite before serving reads.
-  SEQDET_RETURN_IF_ERROR(meta_->Put(kPostingUpgradeKey, "1"));
-  SEQDET_RETURN_IF_ERROR(meta_->Flush());
-  const PendingFoldLoad observed = pending_fold_load();
-  for (const auto& table : index_tables_) {
-    SEQDET_RETURN_IF_ERROR(
-        table->UpgradeToBlocked(options_.posting_block_bytes, stats, pace));
-  }
-  for (const auto& table : index_tables_) {
-    SEQDET_RETURN_IF_ERROR(table->table()->Compact());
-  }
-  posting_format_ = kPostingFormatBlocked;
-  for (const auto& table : index_tables_) {
-    table->set_format_version(kPostingFormatBlocked);
-  }
-  SEQDET_RETURN_IF_ERROR(PersistPostingFormat());
-  SEQDET_RETURN_IF_ERROR(meta_->Delete(kPostingUpgradeKey));
-  SEQDET_RETURN_IF_ERROR(meta_->Flush());
   ConsumePending(pending_fold_bytes_, observed.bytes);
   ConsumePending(pending_fold_ops_, observed.ops);
   return Status::OK();

@@ -47,13 +47,7 @@ struct IndexOptions {
   /// and sorted once and served as shared immutable snapshots until an
   /// Update/compaction bumps the backing table's version. 0 disables.
   size_t cache_bytes = 64u << 20;
-  /// Posting-list value format for *newly created* indexes: 0 = default
-  /// (the blocked v3 format), or an explicit kPostingFormatFlat /
-  /// kPostingFormatBlocked. Existing indexes always use their persisted
-  /// format (meta `posting_format`; absent = v1) — FoldPostings() is the
-  /// upgrade path.
-  uint32_t posting_format = 0;
-  /// Target payload bytes of one folded v3 posting block.
+  /// Target payload bytes of one folded posting block.
   size_t posting_block_bytes = kDefaultPostingBlockBytes;
   /// Background auto-fold + compaction service. With
   /// `maintenance.auto_fold` set, Open() starts a MaintenanceService that
@@ -75,12 +69,9 @@ struct IndexReadStats {
 };
 
 /// Header-level description of one pair's posting list across all periods:
-/// the exact posting count (v3) or an estimate (v1, `exact == false`), and
-/// the union of the blocks' trace-id ranges. For v1 values the trace set
-/// degenerates to "all traces" — flat values carry no skip metadata.
+/// the exact posting count and the union of the blocks' trace-id ranges.
 struct PairPostingSummary {
   uint64_t postings = 0;
-  bool exact = true;
   TraceIntervalSet traces;
 };
 
@@ -250,27 +241,15 @@ class SequenceIndex {
                            const FoldPace& pace = {});
 
   /// Maintenance sibling of CompactStatistics for the posting lists:
-  /// rewrites every period's append fragments as globally sorted values
-  /// and compacts the tables. On a v3 index this delegates to
-  /// FoldPostingsIncremental() (concurrent-safe). On a v1 index it is the
-  /// v1 -> v3 format upgrade: a durable `posting_upgrade` meta marker is
-  /// written first, every value is rewritten as v3 blocks, then the
-  /// persisted `posting_format` advances and the marker is cleared — a
-  /// crash anywhere in between is rolled forward on the next Open(). The
-  /// upgrade path must not run concurrently with reads or writes (the
-  /// incremental path has no such caveat).
+  /// rewrites every period's append fragments as globally sorted blocks,
+  /// then compacts the tables. Safe to run concurrently with Update() and
+  /// the query read path: each key commits atomically through the
+  /// WAL/version protocol, so a concurrent Detect sees either the old
+  /// fragments or the folded value, and PostingCache entries
+  /// self-invalidate via Kv::Version(). This is what the
+  /// MaintenanceService runs. On success the pending append load observed
+  /// at entry is consumed from pending_fold_load().
   Status FoldPostings(FoldStats* stats = nullptr, const FoldPace& pace = {});
-
-  /// Format-preserving incremental fold of every period's posting lists
-  /// (sorted flat values on v1, sorted blocks on v3) followed by table
-  /// compaction. Safe to run concurrently with Update() and the query read
-  /// path: each key commits atomically through the WAL/version protocol,
-  /// so a concurrent Detect sees either the old fragments or the folded
-  /// value, and PostingCache entries self-invalidate via Kv::Version().
-  /// This is what the MaintenanceService runs. On success the pending
-  /// append load observed at entry is consumed from pending_fold_load().
-  Status FoldPostingsIncremental(FoldStats* stats = nullptr,
-                                 const FoldPace& pace = {});
 
   /// Posting bytes / append records staged by Update() since the last
   /// completed fold — the fragmentation signal the MaintenanceService
@@ -294,10 +273,6 @@ class SequenceIndex {
   size_t num_periods() const { return index_tables_.size(); }
   storage::Database* database() const { return db_; }
 
-  /// The posting-list value format this index reads and writes
-  /// (kPostingFormatFlat or kPostingFormatBlocked).
-  uint32_t posting_format() const { return posting_format_; }
-
   /// Read-cache observability counters (all zero when cache_bytes == 0).
   PostingCacheStats cache_stats() const { return cache_.stats(); }
 
@@ -309,10 +284,6 @@ class SequenceIndex {
 
   Status OpenTables();
   Status PersistPeriodCount();
-  Status PersistPostingFormat();
-  /// The marker-bracketed v1 -> v3 rewrite behind FoldPostings(); also the
-  /// roll-forward OpenTables() runs when it finds the marker set.
-  Status UpgradePostingFormat(FoldStats* stats, const FoldPace& pace);
   Status LoadDictionary();
   Status PersistDictionary();
 
@@ -324,8 +295,7 @@ class SequenceIndex {
   /// read. `refs`, when given, are the value's parsed block headers, so a
   /// caller that parsed them does not parse them again.
   Result<std::vector<PairOccurrence>> DecodePeriodValue(
-      size_t period, std::string_view value,
-      const std::vector<PostingBlockRef>* refs) const;
+      std::string_view value, const std::vector<PostingBlockRef>* refs) const;
 
   storage::Database* db_;
   IndexOptions options_;
@@ -339,7 +309,6 @@ class SequenceIndex {
   std::unique_ptr<LastCheckedTable> last_checked_;
   storage::Kv* meta_ = nullptr;
   size_t shards_ = 1;
-  uint32_t posting_format_ = kPostingFormatBlocked;
   /// Decoded-postings read cache; logically const (a memo over the tables),
   /// hence usable from the const read path.
   mutable PostingCache cache_;

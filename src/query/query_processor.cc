@@ -305,9 +305,8 @@ Result<std::vector<PatternMatch>> QueryProcessor::Detect(
   // Filtering a pair's list pays only when the candidate set is narrower
   // than the list's own trace span — when the spans are equal (a pattern
   // of uniformly hot pairs) no block can be skipped and the selective
-  // decode path is pure per-query overhead (an unbounded v1 set trivially
-  // fails the test). Decided per pair: a rare anchor narrows the hot pairs
-  // it is joined with but not itself.
+  // decode path is pure per-query overhead. Decided per pair: a rare
+  // anchor narrows the hot pairs it is joined with but not itself.
   auto want_filter = [&](size_t i) {
     return !summaries.empty() &&
            candidate_span < summaries[i].traces.Span();

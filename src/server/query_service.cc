@@ -279,7 +279,7 @@ HttpResponse QueryService::HandleInfo(const HttpRequest&) const {
       .Key("activities")
       .Int(static_cast<int64_t>(index_->dictionary().size()))
       .Key("posting_format")
-      .Int(static_cast<int64_t>(index_->posting_format()))
+      .Int(static_cast<int64_t>(index::kPostingFormatBlocked))
       .Key("cache")
       .BeginObject()
       .Key("capacity_bytes")

@@ -13,9 +13,8 @@ namespace seqdet::storage {
 /// Point reads walk segments newest-to-oldest; most segments do not contain
 /// the probed key, so a cheap negative test in front of each binary search
 /// pays for itself as soon as a table has more than a couple of segments
-/// (the classic LSM read-path optimization). For v1 segments the filter is
-/// rebuilt in memory at open; v2 (SDSEG2) segments persist it in the footer
-/// via Serialize/Deserialize so open cost stays O(footer).
+/// (the classic LSM read-path optimization). Segments persist it in the
+/// footer via Serialize/Deserialize so open cost stays O(footer).
 class BloomFilter {
  public:
   /// Creates a filter sized for `expected_keys` at ~bits_per_key bits each

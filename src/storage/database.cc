@@ -158,24 +158,6 @@ ShardedTable* Database::GetShardedTable(const std::string& name) const {
   return it == sharded_.end() ? nullptr : it->second.get();
 }
 
-void Database::SetSegmentFormat(uint32_t format_version) {
-  MutexLock lock(mu_);
-  if (format_version > options_.table.segment.format_version) {
-    options_.table.segment.format_version = format_version;
-  }
-  for (const auto& [name, table] : tables_) {
-    table->SetSegmentFormat(format_version);
-  }
-  for (const auto& [name, table] : sharded_) {
-    table->SetSegmentFormat(format_version);
-  }
-}
-
-uint32_t Database::segment_format() const {
-  MutexLock lock(mu_);
-  return options_.table.segment.format_version;
-}
-
 TableSegmentStats Database::GetSegmentStats() const {
   MutexLock lock(mu_);
   TableSegmentStats out;

@@ -69,17 +69,8 @@ class Database {
   ShardedTable* GetShardedTable(const std::string& name) const
       REQUIRES(!mu_);
 
-  /// Raises the segment format of every open table and of tables created
-  /// later (roll-forward only — lowering is ignored, see
-  /// Table::SetSegmentFormat). Used to apply a durable format marker after
-  /// the tables carrying it were already opened.
-  void SetSegmentFormat(uint32_t format_version) REQUIRES(!mu_);
-
   /// Segment stats summed over every open table (plain + sharded).
   TableSegmentStats GetSegmentStats() const REQUIRES(!mu_);
-
-  /// The segment format new tables will be created with.
-  uint32_t segment_format() const REQUIRES(!mu_);
 
   const std::string& dir() const { return dir_; }
   bool in_memory() const { return options_.table.in_memory; }

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -18,9 +17,10 @@ namespace seqdet::storage {
 
 namespace {
 
-constexpr std::string_view kMagicV1 = "SDSEG1";
+// The flat SDSEG1 layout is retired: its magic is recognised only to
+// refuse the file with a rebuild hint instead of calling it corrupt.
+constexpr std::string_view kRetiredMagic = "SDSEG1";
 constexpr std::string_view kMagicV2 = "SDSEG2";
-constexpr size_t kV1FooterSize = 8 + 4;  // fixed64 count + fixed32 crc
 
 // SDSEG2 trailer: fixed64 index_offset + fixed32 index_crc + tail magic.
 // The tail magic doubles as a quick truncation probe before any parsing.
@@ -50,27 +50,15 @@ Segment::~Segment() {
 }
 
 Result<std::shared_ptr<Segment>> Segment::FromBuffer(std::string buffer) {
-  if (buffer.size() < kMagicV1.size()) {
-    return Status::Corruption("segment too small");
-  }
-  std::string_view head = std::string_view(buffer).substr(0, kMagicV1.size());
   auto segment = std::shared_ptr<Segment>(new Segment());
   segment->buffer_ = std::move(buffer);
   segment->data_ = segment->buffer_;
-  if (head == kMagicV1) {
-    SEQDET_RETURN_IF_ERROR(segment->ParseV1());
-  } else if (head == kMagicV2) {
-    SEQDET_RETURN_IF_ERROR(segment->ParseV2());
-  } else {
-    return Status::Corruption("bad segment magic");
-  }
+  SEQDET_RETURN_IF_ERROR(segment->Parse());
   return segment;
 }
 
 Result<std::shared_ptr<Segment>> Segment::Load(const std::string& path) {
-  // UniqueFd owns the descriptor through every early return below — the
-  // raw-close version had five hand-maintained close sites on the error
-  // paths of open/fstat/pread/mmap.
+  // UniqueFd owns the descriptor through every early return below.
   UniqueFd fd(::open(path.c_str(), O_RDONLY));
   if (!fd.ok()) return Status::IOError("cannot open segment " + path);
   struct stat st;
@@ -78,108 +66,36 @@ Result<std::shared_ptr<Segment>> Segment::Load(const std::string& path) {
     return Status::IOError("cannot stat segment " + path);
   }
   const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size < kMagicV1.size() || size > kMaxSegmentBytes) {
+  if (size < kMagicV2.size() || size > kMaxSegmentBytes) {
     return Status::Corruption(
         StringPrintf("segment size implausible: %llu bytes (%s)",
                      static_cast<unsigned long long>(size), path.c_str()));
   }
-  char magic[6];
-  if (::pread(fd.get(), magic, sizeof(magic), 0) !=
-      static_cast<ssize_t>(sizeof(magic))) {
-    return Status::IOError("cannot read segment magic " + path);
+  void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.get(), 0);
+  fd.Reset();  // the mapping keeps the file alive; drop the fd either way
+  if (addr == MAP_FAILED) {
+    return Status::IOError("mmap failed for segment " + path);
   }
-  if (std::string_view(magic, sizeof(magic)) == kMagicV2) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.get(), 0);
-    fd.Reset();  // the mapping keeps the file alive; drop the fd either way
-    if (addr == MAP_FAILED) {
-      return Status::IOError("mmap failed for segment " + path);
-    }
-    auto segment = std::shared_ptr<Segment>(new Segment());
-    segment->map_addr_ = addr;
-    segment->map_size_ = size;
-    segment->data_ =
-        std::string_view(static_cast<const char*>(addr), size);
-    Status status = segment->ParseV2();
-    if (!status.ok()) {
-      return Status(status.code(), status.message() + " (" + path + ")");
-    }
-    return segment;
+  auto segment = std::shared_ptr<Segment>(new Segment());
+  segment->map_addr_ = addr;
+  segment->map_size_ = size;
+  segment->data_ = std::string_view(static_cast<const char*>(addr), size);
+  Status status = segment->Parse();
+  if (!status.ok()) {
+    return Status(status.code(), status.message() + " (" + path + ")");
   }
-  // SDSEG1 (or garbage — FromBuffer rejects bad magic): buffered read.
-  fd.Reset();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open segment " + path);
-  std::string buffer((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("read failed for segment " + path);
-  }
-  auto result = FromBuffer(std::move(buffer));
-  if (!result.ok()) {
-    return Status(result.status().code(),
-                  result.status().message() + " (" + path + ")");
-  }
-  return result;
+  return segment;
 }
 
-Status Segment::ParseV1() {
-  stats_.format = 1;
+Status Segment::Parse() {
   stats_.disk_bytes = data_.size();
-  if (data_.size() < kMagicV1.size() + kV1FooterSize) {
-    return Status::Corruption("segment too small");
+  std::string_view magic = data_.substr(0, kMagicV2.size());
+  if (magic == kRetiredMagic) {
+    return Status::Unsupported(
+        "segment uses the retired SDSEG1 format; rebuild the index from the "
+        "log");
   }
-  std::string_view footer = data_.substr(data_.size() - kV1FooterSize);
-  uint64_t count;
-  uint32_t crc;
-  GetFixed64(&footer, &count);
-  GetFixed32(&footer, &crc);
-  std::string_view body(data_.data(), data_.size() - kV1FooterSize);
-  if (Crc32(body) != crc) {
-    return Status::Corruption("segment checksum mismatch");
-  }
-
-  std::string_view cursor = data_;
-  cursor.remove_prefix(kMagicV1.size());
-  cursor.remove_suffix(kV1FooterSize);
-  stats_.logical_bytes = cursor.size();
-  // The footer is outside the checksummed body, so `count` is untrusted:
-  // clamp the reservation to what the body could possibly hold (entries
-  // are >= 3 bytes) and rely on the count-mismatch check below.
-  entries_.reserve(std::min<uint64_t>(count, cursor.size() / 3 + 1));
-  while (!cursor.empty()) {
-    if (entries_.size() == count) {
-      return Status::Corruption("segment has trailing bytes");
-    }
-    uint8_t kind = static_cast<uint8_t>(cursor.front());
-    if (kind > static_cast<uint8_t>(RecordKind::kDelete)) {
-      return Status::Corruption("bad record kind in segment");
-    }
-    cursor.remove_prefix(1);
-    std::string_view key, value;
-    if (!GetLengthPrefixed(&cursor, &key) ||
-        !GetLengthPrefixed(&cursor, &value)) {
-      return Status::Corruption("truncated segment entry");
-    }
-    entries_.push_back(EntryRef{key, static_cast<RecordKind>(kind), value});
-  }
-  if (entries_.size() != count) {
-    return Status::Corruption(
-        StringPrintf("segment entry count mismatch: footer says %llu, "
-                     "parsed %zu",
-                     static_cast<unsigned long long>(count),
-                     entries_.size()));
-  }
-  entry_count_ = entries_.size();
-  bloom_ = BloomFilter(entries_.size());
-  for (const EntryRef& entry : entries_) {
-    bloom_.Add(entry.key);
-  }
-  return Status::OK();
-}
-
-Status Segment::ParseV2() {
-  stats_.format = 2;
-  stats_.disk_bytes = data_.size();
+  if (magic != kMagicV2) return Status::Corruption("bad segment magic");
   if (data_.size() < kMagicV2.size() + kV2TrailerSize) {
     return Status::Corruption("segment too small");
   }
@@ -393,12 +309,6 @@ size_t Segment::BlockForKey(std::string_view key) const {
 }
 
 Result<size_t> Segment::LowerBound(std::string_view key) const {
-  if (stats_.format == 1) {
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const EntryRef& e, std::string_view k) { return e.key < k; });
-    return static_cast<size_t>(it - entries_.begin());
-  }
   if (blocks_.empty()) return size_t{0};
   size_t bi = BlockForKey(key);
   SEQDET_ASSIGN_OR_RETURN(const DecodedBlock* block, GetDecodedBlock(bi));
@@ -411,13 +321,6 @@ Result<size_t> Segment::LowerBound(std::string_view key) const {
 
 Result<const Segment::EntryRef*> Segment::Find(std::string_view key) const {
   if (!bloom_.MayContain(key)) {
-    return static_cast<const EntryRef*>(nullptr);
-  }
-  if (stats_.format == 1) {
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const EntryRef& e, std::string_view k) { return e.key < k; });
-    if (it != entries_.end() && it->key == key) return &*it;
     return static_cast<const EntryRef*>(nullptr);
   }
   if (blocks_.empty()) return static_cast<const EntryRef*>(nullptr);
@@ -434,7 +337,6 @@ Result<Segment::EntryRef> Segment::Entry(size_t pos) const {
   if (pos >= entry_count_) {
     return Status::InvalidArgument("segment entry index out of range");
   }
-  if (stats_.format == 1) return entries_[pos];
   size_t bi = BlockForEntry(pos);
   SEQDET_ASSIGN_OR_RETURN(const DecodedBlock* block, GetDecodedBlock(bi));
   return block->entries[pos - blocks_[bi].entry_base];
@@ -446,7 +348,7 @@ SegmentBuilder::SegmentBuilder(const SegmentWriteOptions& options)
     effective_codec_ = BlockCodec::kRaw;
   }
   if (options_.restart_interval == 0) options_.restart_interval = 1;
-  buffer_.append(options_.format_version == 1 ? kMagicV1 : kMagicV2);
+  buffer_.append(kMagicV2);
 }
 
 Status SegmentBuilder::Add(std::string_view key, RecordKind kind,
@@ -455,15 +357,6 @@ Status SegmentBuilder::Add(std::string_view key, RecordKind kind,
   if (count_ > 0 && key <= last_key_) {
     return Status::InvalidArgument("segment keys must be strictly ascending");
   }
-  if (options_.format_version == 1) {
-    buffer_.push_back(static_cast<char>(kind));
-    PutLengthPrefixed(&buffer_, key);
-    PutLengthPrefixed(&buffer_, value);
-    last_key_.assign(key);
-    ++count_;
-    return Status::OK();
-  }
-
   logical_bytes_ += 1 + VarintLen(key.size()) + key.size() +
                     VarintLen(value.size()) + value.size();
   if (block_entry_count_ == 0) block_first_key_.assign(key);
@@ -528,13 +421,6 @@ void SegmentBuilder::FlushBlock() {
 
 std::string SegmentBuilder::Finish() {
   finished_ = true;
-  if (options_.format_version == 1) {
-    uint32_t crc = Crc32(buffer_);
-    PutFixed64(&buffer_, count_);
-    PutFixed32(&buffer_, crc);
-    return std::move(buffer_);
-  }
-
   FlushBlock();
   const uint64_t index_offset = buffer_.size();
   std::string index;

@@ -17,12 +17,9 @@
 
 namespace seqdet::storage {
 
-/// Knobs of the segment writer (see FORMATS.md for the layouts).
+/// Knobs of the segment writer (see FORMATS.md for the layout).
 struct SegmentWriteOptions {
-  /// 2 writes the block-compressed SDSEG2 format; 1 the legacy flat
-  /// SDSEG1 format (readers understand both).
-  uint32_t format_version = 2;
-  /// Target plaintext bytes per SDSEG2 block (pre-compression).
+  /// Target plaintext bytes per block (pre-compression).
   size_t block_bytes = 4096;
   /// Entries between key restart points inside a block.
   size_t restart_interval = 16;
@@ -32,12 +29,7 @@ struct SegmentWriteOptions {
 
 /// Immutable sorted run of folded records, the on-disk unit of a table.
 ///
-/// Two formats share this reader:
-///
-/// SDSEG1 (legacy): the whole file is read into memory and parsed into a
-/// full entry index up front — open cost O(file).
-///
-/// SDSEG2: entries are grouped into ~4 KiB blocks (prefix-compressed keys
+/// Format SDSEG2: entries are grouped into ~4 KiB blocks (prefix-compressed keys
 /// with restart points, values stored verbatim, optional whole-block zstd,
 /// per-block CRC); a footer carries fence pointers (first key
 /// + offset per block), entry counts and a serialized Bloom filter. The
@@ -51,7 +43,8 @@ struct SegmentWriteOptions {
 ///
 /// Because corruption in a lazily-read block is only discovered when that
 /// block is first touched, the read accessors return Result and surface
-/// Status::Corruption instead of crashing.
+/// Status::Corruption instead of crashing. A file in the retired flat
+/// SDSEG1 format is refused with Status::Unsupported (rebuild the index).
 class Segment {
  public:
   struct EntryRef {
@@ -62,28 +55,28 @@ class Segment {
 
   /// Open/size/compression facts for introspection (`seqdet info`).
   struct Stats {
-    uint32_t format = 1;
-    size_t num_blocks = 0;       // 0 for SDSEG1
-    uint64_t disk_bytes = 0;     // serialized size
-    uint64_t logical_bytes = 0;  // SDSEG1-equivalent encoding of the entries
+    size_t num_blocks = 0;
+    uint64_t disk_bytes = 0;  // serialized size
+    // Raw size of the entries: kind + len-prefixed key + len-prefixed
+    // value each, before key prefix compression and block framing.
+    uint64_t logical_bytes = 0;
   };
 
   ~Segment();
   Segment(const Segment&) = delete;
   Segment& operator=(const Segment&) = delete;
 
-  /// Parses a serialized segment of either format from memory (validates
-  /// magic, footer/trailer and whole-file or footer checksum).
+  /// Parses a serialized segment from memory (validates magic, trailer and
+  /// footer checksum).
   static Result<std::shared_ptr<Segment>> FromBuffer(std::string buffer);
 
-  /// Opens the segment file at `path`: SDSEG2 files are mmap-ed and only
-  /// the footer is parsed; SDSEG1 files are read whole as before.
+  /// Opens the segment file at `path`: the file is mmap-ed and only the
+  /// footer is parsed.
   static Result<std::shared_ptr<Segment>> Load(const std::string& path);
 
   /// Binary-searches for `key`; the pointer is nullptr when absent and
-  /// otherwise stays valid for the segment's lifetime. A Bloom filter
-  /// (persisted in SDSEG2, rebuilt at load for SDSEG1) rejects most absent
-  /// keys without touching any block.
+  /// otherwise stays valid for the segment's lifetime. The persisted Bloom
+  /// filter rejects most absent keys without touching any block.
   Result<const EntryRef*> Find(std::string_view key) const
       REQUIRES(!decode_mu_);
 
@@ -102,7 +95,6 @@ class Segment {
 
   size_t size() const { return entry_count_; }
   size_t SizeBytes() const { return data_.size(); }
-  uint32_t format() const { return stats_.format; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -130,8 +122,7 @@ class Segment {
 
   Segment() : bloom_(0) {}
 
-  Status ParseV1();
-  Status ParseV2() REQUIRES(!decode_mu_);
+  Status Parse() REQUIRES(!decode_mu_);
   /// Decodes block `bi` (CRC check, decompression, entry parse). Touches
   /// mmap-ed bytes, so first access can fault pages in from disk.
   SEQDET_BLOCKING Result<std::unique_ptr<DecodedBlock>> DecodeBlock(
@@ -148,8 +139,8 @@ class Segment {
   /// every fence).
   size_t BlockForKey(std::string_view key) const;
 
-  // Backing bytes: either an owned buffer (FromBuffer) or an mmap (Load of
-  // an SDSEG2 file); data_ views whichever one is in use.
+  // Backing bytes: either an owned buffer (FromBuffer) or an mmap (Load);
+  // data_ views whichever one is in use.
   std::string buffer_;
   void* map_addr_ = nullptr;
   size_t map_size_ = 0;
@@ -159,10 +150,7 @@ class Segment {
   size_t entry_count_ = 0;
   BloomFilter bloom_;
 
-  // SDSEG1: the eagerly parsed entry index (views into buffer_).
-  std::vector<EntryRef> entries_;
-
-  // SDSEG2: fence pointers plus the lazy per-block decode cache. Blocks
+  // Fence pointers plus the lazy per-block decode cache. Blocks
   // are decoded under decode_mu_ and published through the lock-free
   // atomics in decoded_; once published a block is immutable.
   std::vector<BlockMeta> blocks_;
@@ -172,8 +160,8 @@ class Segment {
   mutable std::vector<std::atomic<const DecodedBlock*>> decoded_;
 };
 
-/// Streams folded records (in ascending key order) into the segment
-/// format selected by SegmentWriteOptions.
+/// Streams folded records (in ascending key order) into an SDSEG2
+/// segment.
 class SegmentBuilder {
  public:
   SegmentBuilder() : SegmentBuilder(SegmentWriteOptions{}) {}
@@ -198,8 +186,7 @@ class SegmentBuilder {
   uint64_t count_ = 0;
   bool finished_ = false;
 
-  // SDSEG2 state: the open block and the per-block metadata accumulated
-  // for the footer.
+  // The open block and the per-block metadata accumulated for the footer.
   std::string block_;  // plaintext entry region of the open block
   std::vector<uint32_t> restarts_;
   uint64_t block_entry_count_ = 0;

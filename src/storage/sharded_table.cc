@@ -140,10 +140,6 @@ TableSegmentStats ShardedTable::GetSegmentStats() const {
   return out;
 }
 
-void ShardedTable::SetSegmentFormat(uint32_t format_version) {
-  for (const auto& shard : shards_) shard->SetSegmentFormat(format_version);
-}
-
 size_t ShardedTable::ApproximateEntryCount() const {
   size_t n = 0;
   for (const auto& shard : shards_) n += shard->ApproximateEntryCount();

@@ -67,9 +67,6 @@ class ShardedTable : public Kv {
   /// Segment stats summed over the shards.
   TableSegmentStats GetSegmentStats() const;
 
-  /// Applies Table::SetSegmentFormat to every shard (roll-forward only).
-  void SetSegmentFormat(uint32_t format_version);
-
   /// Deletes every shard's files.
   Status DestroyFiles();
 

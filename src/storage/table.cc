@@ -544,28 +544,11 @@ TableSegmentStats Table::GetSegmentStats() const {
   for (const auto& s : segments_) {
     const Segment::Stats& stats = s->stats();
     ++out.num_segments;
-    if (stats.format == 1) {
-      ++out.v1_segments;
-    } else {
-      ++out.v2_segments;
-    }
     out.num_blocks += stats.num_blocks;
     out.disk_bytes += stats.disk_bytes;
     out.logical_bytes += stats.logical_bytes;
   }
   return out;
-}
-
-void Table::SetSegmentFormat(uint32_t format_version) {
-  WriterLock lock(mu_);
-  if (format_version > options_.segment.format_version) {
-    options_.segment.format_version = format_version;
-  }
-}
-
-uint32_t Table::segment_format() const {
-  ReaderLock lock(mu_);
-  return options_.segment.format_version;
 }
 
 size_t Table::ApproximateEntryCount() const {

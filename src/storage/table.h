@@ -32,24 +32,19 @@ struct TableOptions {
   /// Auto-compact when a flush leaves more than this many segments
   /// (size-tiered-style read-amplification bound). 0 disables.
   size_t max_segments = 0;
-  /// Segment writer knobs (format version, block size, codec). Reads
-  /// understand both formats regardless of this setting.
+  /// Segment writer knobs (block size, restart interval, codec).
   SegmentWriteOptions segment;
 };
 
 /// Aggregated per-table segment facts for introspection (`seqdet info`).
 struct TableSegmentStats {
   size_t num_segments = 0;
-  size_t v1_segments = 0;
-  size_t v2_segments = 0;
-  size_t num_blocks = 0;       // across SDSEG2 segments
+  size_t num_blocks = 0;
   uint64_t disk_bytes = 0;     // serialized segment bytes
-  uint64_t logical_bytes = 0;  // SDSEG1-equivalent encoding of the entries
+  uint64_t logical_bytes = 0;  // see Segment::Stats::logical_bytes
 
   void Merge(const TableSegmentStats& other) {
     num_segments += other.num_segments;
-    v1_segments += other.v1_segments;
-    v2_segments += other.v2_segments;
     num_blocks += other.num_blocks;
     disk_bytes += other.disk_bytes;
     logical_bytes += other.logical_bytes;
@@ -139,16 +134,8 @@ class Table : public Kv {
   size_t MemTableBytes() const REQUIRES(!mu_);
   size_t ApproximateEntryCount() const override REQUIRES(!mu_);
 
-  /// Aggregated segment format/size facts.
+  /// Aggregated segment size facts.
   TableSegmentStats GetSegmentStats() const REQUIRES(!mu_);
-
-  /// Raises the segment format newly written segments use (roll-forward
-  /// only: requests to lower the version are ignored so a durable format
-  /// marker can never regress the on-disk state).
-  void SetSegmentFormat(uint32_t format_version) REQUIRES(!mu_);
-
-  /// The segment format new segments are written with.
-  uint32_t segment_format() const REQUIRES(!mu_);
 
   /// Deletes this table's files. The table must be destroyed afterwards.
   Status DestroyFiles() REQUIRES(!mu_);
@@ -175,7 +162,7 @@ class Table : public Kv {
 
   std::string dir_;
   std::string name_;
-  TableOptions options_ GUARDED_BY(mu_);
+  const TableOptions options_;
 
   /// Lock order: Table::mu_ -> Segment::decode_mu_ (reads touch lazily
   /// decoded segment blocks while holding mu_ shared); acquired *under*

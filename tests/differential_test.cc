@@ -7,7 +7,7 @@
 // the pair sets exactly as Algorithm 2 does — a match whose last timestamp
 // equals a posting's first timestamp extends by the posting's second. Any
 // disagreement therefore implicates the index pipeline (extraction ->
-// storage -> fold/upgrade -> decode -> join), not the oracle.
+// storage -> fold -> decode -> join), not the oracle.
 //
 // Every configuration runs >= 1000 seeded random patterns (override with
 // SEQDET_DIFF_PATTERNS) over a seeded random log. On failure the assert
@@ -87,8 +87,7 @@ struct Fixture {
   std::unique_ptr<storage::Database> db;
   std::unique_ptr<SequenceIndex> index;
 
-  Fixture(const EventLog& log, Policy policy, uint32_t posting_format,
-          size_t cache_bytes = 8u << 20) {
+  Fixture(const EventLog& log, Policy policy, size_t cache_bytes = 8u << 20) {
     storage::DbOptions db_options;
     db_options.table.in_memory = true;
     db_options.table.use_wal = false;
@@ -96,7 +95,6 @@ struct Fixture {
     IndexOptions options;
     options.policy = policy;
     options.num_threads = 1;
-    options.posting_format = posting_format;
     options.cache_bytes = cache_bytes;
     // Small blocks so folded lists span many blocks and the trace-selective
     // skip path actually skips.
@@ -239,7 +237,7 @@ class DifferentialTest : public ::testing::TestWithParam<Policy> {};
 TEST_P(DifferentialTest, BlockedFormatPreAndPostFold) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   Oracle oracle(&log, GetParam());
   auto patterns =
       RandomPatterns(PatternsPerConfig(), f.index->dictionary().size(), seed);
@@ -251,30 +249,10 @@ TEST_P(DifferentialTest, BlockedFormatPreAndPostFold) {
   ExpectAgreement(f, oracle, patterns, seed, "warm-cache");
 }
 
-TEST_P(DifferentialTest, FlatFormatFoldAndUpgrade) {
-  const uint64_t seed = DiffSeed();
-  EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatFlat);
-  Oracle oracle(&log, GetParam());
-  auto patterns =
-      RandomPatterns(PatternsPerConfig(), f.index->dictionary().size(), seed);
-
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectAgreement(f, oracle, patterns, seed, "v1-pre-fold");
-  // Incremental fold is format-preserving: still v1, values now sorted.
-  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectAgreement(f, oracle, patterns, seed, "v1-post-fold");
-  // FoldPostings on a v1 index is the upgrade to v2 blocks.
-  ASSERT_TRUE(f.index->FoldPostings().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatBlocked);
-  ExpectAgreement(f, oracle, patterns, seed, "post-upgrade");
-}
-
 TEST_P(DifferentialTest, MidFoldStateAgrees) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   Oracle oracle(&log, GetParam());
   auto patterns =
       RandomPatterns(PatternsPerConfig(), f.index->dictionary().size(), seed);
@@ -283,7 +261,7 @@ TEST_P(DifferentialTest, MidFoldStateAgrees) {
   // the state a query sees while the maintenance service is mid-cycle (or
   // after its shutdown aborted a pass).
   FoldStats stats;
-  Status aborted = f.index->FoldPostingsIncremental(
+  Status aborted = f.index->FoldPostings(
       &stats, [](const FoldStats& fs) {
         return fs.keys_folded >= 40 ? Status::Aborted("mid-fold stop")
                                     : Status::OK();
@@ -292,7 +270,7 @@ TEST_P(DifferentialTest, MidFoldStateAgrees) {
   ASSERT_GE(stats.keys_folded, 40u);
   ExpectAgreement(f, oracle, patterns, seed, "mid-fold");
 
-  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
+  ASSERT_TRUE(f.index->FoldPostings().ok());
   ExpectAgreement(f, oracle, patterns, seed, "resumed-fold");
 }
 
@@ -312,10 +290,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, DifferentialTest,
 TEST(DifferentialCacheTest, ColdWarmAndUncachedAgree) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture cached(log, Policy::kSkipTillNextMatch,
-                 index::kPostingFormatBlocked);
-  Fixture uncached(log, Policy::kSkipTillNextMatch,
-                   index::kPostingFormatBlocked, /*cache_bytes=*/0);
+  Fixture cached(log, Policy::kSkipTillNextMatch);
+  Fixture uncached(log, Policy::kSkipTillNextMatch, /*cache_bytes=*/0);
   Oracle oracle(&log, Policy::kSkipTillNextMatch);
   auto patterns = RandomPatterns(PatternsPerConfig(),
                                  cached.index->dictionary().size(), seed);
@@ -334,7 +310,7 @@ TEST(DifferentialCacheTest, ColdWarmAndUncachedAgree) {
 TEST(DifferentialConstraintTest, GapAndSpanConstraintsAgree) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   Oracle oracle(&log, Policy::kSkipTillNextMatch);
   auto patterns = RandomPatterns(PatternsPerConfig(),
                                  f.index->dictionary().size(), seed);
@@ -357,7 +333,7 @@ TEST(DifferentialConstraintTest, GapAndSpanConstraintsAgree) {
 TEST(DifferentialBatchTest, DetectBatchAgreesWithOracle) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   Oracle oracle(&log, Policy::kSkipTillNextMatch);
   auto raw = RandomPatterns(PatternsPerConfig(),
                             f.index->dictionary().size(), seed);
@@ -382,7 +358,7 @@ TEST(DifferentialBatchTest, DetectBatchAgreesWithOracle) {
 TEST(DifferentialDeadlineTest, ExpiredAbortsAndGenerousMatchesUnbounded) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   QueryProcessor qp(f.index.get());
   auto patterns =
       RandomPatterns(100, f.index->dictionary().size(), seed ^ 0xD1D);
@@ -432,7 +408,7 @@ std::string DetectTarget(const SequenceIndex& index,
 TEST(DifferentialHttpTest, HttpDetectMatchesInProcessByteForByte) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
 
   server::QueryService service(f.index.get());
   server::HttpServer http;
@@ -475,7 +451,6 @@ TEST(DifferentialHttpTest, HttpDetectAgreesUnderConcurrentAutoFold) {
   IndexOptions options;
   options.policy = Policy::kSkipTillNextMatch;
   options.num_threads = 1;
-  options.posting_format = index::kPostingFormatBlocked;
   options.cache_bytes = 1u << 20;
   options.posting_block_bytes = 96;
   options.maintenance.auto_fold = true;
@@ -621,7 +596,7 @@ class ExtendedDifferentialTest : public ::testing::TestWithParam<Policy> {};
 TEST_P(ExtendedDifferentialTest, ExtendedBlockedPreAndPostFold) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   auto patterns = RandomExtendedPatterns(PatternsPerConfig(),
                                          f.index->dictionary().size(), seed);
 
@@ -636,37 +611,16 @@ TEST_P(ExtendedDifferentialTest, ExtendedBlockedPreAndPostFold) {
                           &cache);
 }
 
-TEST_P(ExtendedDifferentialTest, ExtendedFlatFoldAndUpgrade) {
-  const uint64_t seed = DiffSeed();
-  EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatFlat);
-  auto patterns = RandomExtendedPatterns(PatternsPerConfig(),
-                                         f.index->dictionary().size(), seed);
-
-  baseline::SasePairCache cache;
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "v1-pre-fold",
-                          &cache);
-  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "v1-post-fold",
-                          &cache);
-  ASSERT_TRUE(f.index->FoldPostings().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatBlocked);
-  ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "post-upgrade",
-                          &cache);
-}
-
 TEST_P(ExtendedDifferentialTest, ExtendedMidFoldStateAgrees) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   auto patterns = RandomExtendedPatterns(PatternsPerConfig(),
                                          f.index->dictionary().size(), seed);
 
   baseline::SasePairCache cache;
   FoldStats stats;
-  Status aborted = f.index->FoldPostingsIncremental(
+  Status aborted = f.index->FoldPostings(
       &stats, [](const FoldStats& fs) {
         return fs.keys_folded >= 40 ? Status::Aborted("mid-fold stop")
                                     : Status::OK();
@@ -674,7 +628,7 @@ TEST_P(ExtendedDifferentialTest, ExtendedMidFoldStateAgrees) {
   ASSERT_TRUE(aborted.IsAborted()) << aborted;
   ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "mid-fold",
                           &cache);
-  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
+  ASSERT_TRUE(f.index->FoldPostings().ok());
   ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "resumed-fold",
                           &cache);
 }
@@ -693,7 +647,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, ExtendedDifferentialTest,
 TEST(ExtendedDifferentialTest, ExtendedComplianceTemplatesAgree) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   const ActivityId n =
       static_cast<ActivityId>(f.index->dictionary().size());
 
@@ -720,7 +674,7 @@ TEST(ExtendedDifferentialTest, ExtendedComplianceTemplatesAgree) {
 TEST(ExtendedDifferentialTest, ExtendedHttpMatchesInProcessByteForByte) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
 
   server::QueryService service(f.index.get());
   server::HttpServer http;

@@ -80,9 +80,9 @@ TEST(FailureInjectionTest, CorruptSegmentBodyDetectedOnReopen) {
   ASSERT_FALSE(segment.empty());
   FlipByteAt(segment, 10);  // inside the entry body
 
-  // SDSEG2 checks block checksums on first access, so body damage may
-  // surface at open (v1 path) or at the first read touching the block —
-  // either way it must be Corruption, never wrong data.
+  // Segments check block checksums on first access, so body damage may
+  // surface at open or at the first read touching the block — either way
+  // it must be Corruption, never wrong data.
   auto db = Database::Open(dir.str());
   if (!db.ok()) {
     EXPECT_TRUE(db.status().IsCorruption()) << db.status();
@@ -305,7 +305,7 @@ TEST(FailureInjectionTest, UnwritableDirectoryReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Fold crash safety: a fold/upgrade interrupted at any per-key commit
+// Fold crash safety: a fold interrupted at any per-key commit
 // boundary (clean abort via the pace callback, or a hard SIGKILL) must
 // leave an index that reopens, passes CheckConsistency, and answers
 // queries identically to a pristine index built from the same log.
@@ -340,14 +340,13 @@ std::vector<std::vector<index::PairOccurrence>> AllPairPostings(
 
 /// Pristine reference: the same log indexed into a fresh in-memory index.
 std::vector<std::vector<index::PairOccurrence>> ReferencePostings(
-    const eventlog::EventLog& log, uint32_t posting_format) {
+    const eventlog::EventLog& log) {
   storage::DbOptions db_options;
   db_options.table.in_memory = true;
   db_options.table.use_wal = false;
   auto db = std::move(Database::Open("", db_options)).value();
   index::IndexOptions options;
   options.num_threads = 1;
-  options.posting_format = posting_format;
   auto index = std::move(index::SequenceIndex::Open(db.get(), options))
                    .value();
   EXPECT_TRUE(index->Update(log).ok());
@@ -357,7 +356,7 @@ std::vector<std::vector<index::PairOccurrence>> ReferencePostings(
 TEST(FoldCrashTest, AbortedIncrementalFoldReopensConsistent) {
   TempDir dir;
   eventlog::EventLog log = FoldCrashLog();
-  auto reference = ReferencePostings(log, index::kPostingFormatBlocked);
+  auto reference = ReferencePostings(log);
   {
     auto db = Database::Open(dir.str());
     ASSERT_TRUE(db.ok());
@@ -371,7 +370,7 @@ TEST(FoldCrashTest, AbortedIncrementalFoldReopensConsistent) {
     // the rest keep their fragment piles — the on-disk state after a crash
     // at that commit boundary.
     index::FoldStats stats;
-    Status aborted = (*index)->FoldPostingsIncremental(
+    Status aborted = (*index)->FoldPostings(
         &stats, [](const index::FoldStats& fs) {
           return fs.keys_folded >= 5 ? Status::Aborted("injected crash")
                                      : Status::OK();
@@ -391,58 +390,14 @@ TEST(FoldCrashTest, AbortedIncrementalFoldReopensConsistent) {
   EXPECT_TRUE(report->ok()) << report->violations.front();
   EXPECT_EQ(AllPairPostings(index->get()), reference);
   // Finishing the fold later yields the same answers again.
-  ASSERT_TRUE((*index)->FoldPostingsIncremental().ok());
+  ASSERT_TRUE((*index)->FoldPostings().ok());
   EXPECT_EQ(AllPairPostings(index->get()), reference);
-}
-
-TEST(FoldCrashTest, AbortedUpgradeRollsForwardOnReopen) {
-  TempDir dir;
-  eventlog::EventLog log = FoldCrashLog();
-  auto reference = ReferencePostings(log, index::kPostingFormatFlat);
-  {
-    auto db = Database::Open(dir.str());
-    ASSERT_TRUE(db.ok());
-    index::IndexOptions options;
-    options.num_threads = 1;
-    options.posting_format = index::kPostingFormatFlat;
-    auto index = index::SequenceIndex::Open(db->get(), options);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->Update(log).ok());
-    ASSERT_TRUE((*index)->Flush().ok());
-    // Abort the v1 -> v2 upgrade mid-pass: the durable posting_upgrade
-    // marker is down, some values are v2, the persisted format still v1.
-    index::FoldStats stats;
-    Status aborted = (*index)->FoldPostings(
-        &stats, [](const index::FoldStats& fs) {
-          return fs.keys_folded >= 5 ? Status::Aborted("injected crash")
-                                     : Status::OK();
-        });
-    ASSERT_TRUE(aborted.IsAborted()) << aborted;
-    EXPECT_EQ((*index)->posting_format(), index::kPostingFormatFlat);
-  }
-  // Reopen: OpenTables sees the marker and rolls the upgrade forward.
-  auto db = Database::Open(dir.str());
-  ASSERT_TRUE(db.ok()) << db.status();
-  index::IndexOptions options;
-  options.num_threads = 1;
-  auto index = index::SequenceIndex::Open(db->get(), options);
-  ASSERT_TRUE(index.ok()) << index.status();
-  EXPECT_EQ((*index)->posting_format(), index::kPostingFormatBlocked);
-  auto report = (*index)->CheckConsistency();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->ok()) << report->violations.front();
-  EXPECT_EQ(AllPairPostings(index->get()), reference);
-  // The marker must be cleared — a second reopen runs no upgrade pass.
-  std::string marker;
-  EXPECT_TRUE((*db)->GetTable("meta")
-                  ->Get("posting_upgrade", &marker)
-                  .IsNotFound());
 }
 
 TEST(FoldCrashTest, SigkillMidFoldReopensConsistent) {
   TempDir dir;
   eventlog::EventLog log = FoldCrashLog();
-  auto reference = ReferencePostings(log, index::kPostingFormatBlocked);
+  auto reference = ReferencePostings(log);
   // Build the fragmented on-disk index in the parent (deterministic), then
   // let a child process die by SIGKILL in the middle of a fold pass — no
   // destructors, no flush, exactly a power-cut at a commit boundary.
@@ -466,7 +421,7 @@ TEST(FoldCrashTest, SigkillMidFoldReopensConsistent) {
     options.num_threads = 1;
     auto index = index::SequenceIndex::Open(db->get(), options);
     if (!index.ok()) _exit(4);
-    (void)(*index)->FoldPostingsIncremental(
+    (void)(*index)->FoldPostings(
         nullptr, [](const index::FoldStats& fs) {
           if (fs.keys_folded >= 5) kill(getpid(), SIGKILL);
           return Status::OK();

@@ -1,10 +1,9 @@
-// Tests of the v2 block-structured posting-list format: encode/decode
-// round trips, header parsing, trace-interval pruning machinery,
-// corruption behavior of every value decoder, the v1 -> v2 fold/upgrade
-// path, and the selectivity-filtered read path.
+// Tests of the block-structured posting-list format: encode/decode round
+// trips, header parsing, trace-interval pruning machinery, corruption
+// behavior of every value decoder, the fold path, the refusal of retired
+// formats, and the selectivity-filtered read path.
 
 #include <algorithm>
-#include <filesystem>
 #include <limits>
 #include <memory>
 
@@ -175,8 +174,12 @@ TEST(PostingBlocksTest, ExtremeColumnWidthsRoundTrip) {
 
 TEST(PostingBlocksTest, EpochMsValueIsMuchSmallerThanFlat) {
   // The compression the storage layer used to add now lives in the value
-  // itself: epoch-ms postings must encode to well under half the v1 flat
-  // encoding of the same postings.
+  // itself: epoch-ms postings must encode to well under half the retired
+  // flat encoding of the same postings (per posting: varint trace, zigzag
+  // varint ts_first, varint duration). That encoding of exactly these
+  // 3,000 postings took kFlatBytes bytes, measured with the flat encoder
+  // before it was deleted.
+  constexpr size_t kFlatBytes = 26800;
   std::vector<PairOccurrence> postings;
   uint64_t trace = 7;
   int64_t ts = 1700000000000;
@@ -185,15 +188,11 @@ TEST(PostingBlocksTest, EpochMsValueIsMuchSmallerThanFlat) {
     ts += 1000 + (i % 97);
     postings.push_back(PairOccurrence{trace, ts, ts + 40 + i % 13});
   }
-  std::string flat, blocked;
-  PairIndexTable(nullptr, kPostingFormatFlat).EncodeValue(postings, &flat);
-  PairIndexTable(nullptr, kPostingFormatBlocked)
-      .EncodeValue(postings, &blocked);
-  EXPECT_LT(blocked.size() * 2, flat.size())
-      << "blocked=" << blocked.size() << " flat=" << flat.size();
+  std::string blocked;
+  PairIndexTable::EncodeValue(postings, &blocked);
+  EXPECT_LT(blocked.size() * 2, kFlatBytes) << "blocked=" << blocked.size();
   std::vector<PairOccurrence> decoded;
-  ASSERT_TRUE(PairIndexTable(nullptr, kPostingFormatBlocked)
-                  .DecodeValue(blocked, &decoded));
+  ASSERT_TRUE(DecodeBlockedPostings(blocked, &decoded));
   EXPECT_EQ(decoded, postings);
 }
 
@@ -211,20 +210,6 @@ TEST(PostingBlocksTest, CorruptedBlockedValueClearsOutput) {
   EXPECT_TRUE(decoded.empty());
 }
 
-TEST(PairIndexTableTest, CorruptedFlatValueClearsOutput) {
-  // A valid posting followed by a truncated one: the decoder used to leave
-  // the first posting in *out on failure; callers must never observe a
-  // partially decoded list.
-  std::string value;
-  PairIndexTable::EncodePosting(PairOccurrence{1, 2, 3}, &value);
-  std::string second;
-  PairIndexTable::EncodePosting(PairOccurrence{4, 5, 6}, &second);
-  value.append(second.substr(0, second.size() - 1));
-  std::vector<PairOccurrence> decoded;
-  EXPECT_FALSE(PairIndexTable::DecodePostings(value, &decoded));
-  EXPECT_TRUE(decoded.empty());
-}
-
 TEST(SeqTableTest, CorruptedEventsClearOutput) {
   std::string value;
   SeqTable::EncodeEvents({{1, 10}, {2, 20}}, &value);
@@ -236,8 +221,7 @@ TEST(SeqTableTest, CorruptedEventsClearOutput) {
 
 TEST(PairIndexTableTest, CorruptedStoredValueSurfacesAsCorruption) {
   auto db = InMemoryDb();
-  PairIndexTable index(*db->GetOrCreateTable("index"),
-                       kPostingFormatBlocked);
+  PairIndexTable index(*db->GetOrCreateTable("index"));
   EventTypePair pair{1, 2};
   ASSERT_TRUE(index.table()
                   ->Put(PairIndexTable::EncodeKey(pair), "\x07garbage")
@@ -288,7 +272,7 @@ TEST(TraceIntervalSetTest, AllIsUnbounded) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-level: fold, upgrade, filtered reads
+// Index-level: format refusal, fold, filtered reads
 // ---------------------------------------------------------------------------
 
 EventLog SkewedLog(size_t traces) {
@@ -307,29 +291,77 @@ EventLog SkewedLog(size_t traces) {
   return log;
 }
 
+std::vector<query::PatternMatch> DetectAB(const SequenceIndex& index) {
+  query::QueryProcessor qp(&index);
+  query::Pattern ab(
+      {index.dictionary().Lookup("A"), index.dictionary().Lookup("B")});
+  auto matches = qp.Detect(ab);
+  EXPECT_TRUE(matches.ok()) << matches.status();
+  return matches.ok() ? *matches : std::vector<query::PatternMatch>{};
+}
+
 TEST(PostingFormatTest, FreshIndexDefaultsToBlocked) {
   auto db = InMemoryDb();
   auto index = SequenceIndex::Open(db.get(), SingleThreaded());
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->posting_format(), kPostingFormatBlocked);
+  std::string value;
+  ASSERT_TRUE(db->GetTable("meta")->Get("posting_format", &value).ok());
+  std::string expected;
+  PutVarint64(&expected, kPostingFormatBlocked);
+  EXPECT_EQ(value, expected);
 }
 
 TEST(PostingFormatTest, RetiredVarintBlockFormatRefusesToOpen) {
+  // The meta table rewritten the way older builds left it. Formats 1 (flat
+  // varint postings; also what a missing key means on an index that
+  // already has a shard_count) and 2 (varint block payloads) are refused
+  // with a rebuild hint.
   auto db = InMemoryDb();
+  std::vector<query::PatternMatch> expected;
   {
     auto index = SequenceIndex::Open(db.get(), SingleThreaded());
     ASSERT_TRUE(index.ok());
+    ASSERT_TRUE((*index)->Update(SkewedLog(32)).ok());
+    expected = DetectAB(**index);
+    ASSERT_FALSE(expected.empty());
   }
-  // An index persisted by a build that wrote varint block payloads.
-  auto meta = db->GetOrCreateTable("meta");
-  ASSERT_TRUE(meta.ok());
-  std::string format;
-  PutVarint64(&format, kPostingFormatRetiredVarintBlocks);
-  ASSERT_TRUE((*meta)->Put("posting_format", format).ok());
+  storage::Table* meta = db->GetTable("meta");
+  ASSERT_NE(meta, nullptr);
+  auto put_format = [meta](uint64_t format) {
+    std::string value;
+    PutVarint64(&value, format);
+    ASSERT_TRUE(meta->Put("posting_format", value).ok());
+  };
+  auto expect_refused = [&db](const char* what) {
+    auto index = SequenceIndex::Open(db.get(), SingleThreaded());
+    ASSERT_FALSE(index.ok()) << what;
+    EXPECT_TRUE(index.status().IsUnsupported())
+        << what << ": " << index.status();
+    EXPECT_NE(index.status().ToString().find("rebuild"), std::string::npos)
+        << what << ": " << index.status();
+  };
+  put_format(2);
+  expect_refused("posting_format 2");
+  put_format(1);
+  expect_refused("posting_format 1");
+  ASSERT_TRUE(meta->Delete("posting_format").ok());
+  expect_refused("no posting_format key");
+
+  // A value that does not decode is corruption, not a retired format.
+  ASSERT_TRUE(meta->Put("posting_format", std::string("\x80", 1)).ok());
+  {
+    auto index = SequenceIndex::Open(db.get(), SingleThreaded());
+    ASSERT_FALSE(index.ok());
+    EXPECT_TRUE(index.status().IsCorruption()) << index.status();
+  }
+
+  // A posting_upgrade marker beside format 3 can only be left by an
+  // upgrade that completed: it is ignored.
+  put_format(kPostingFormatBlocked);
+  ASSERT_TRUE(meta->Put("posting_upgrade", "1").ok());
   auto index = SequenceIndex::Open(db.get(), SingleThreaded());
-  ASSERT_FALSE(index.ok());
-  EXPECT_NE(index.status().ToString().find("rebuild"), std::string::npos)
-      << index.status();
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_EQ(DetectAB(**index), expected);
 }
 
 TEST(PostingFormatTest, FoldedIndexStaysConsistent) {
@@ -400,31 +432,32 @@ TEST(PostingFormatTest, FilteredReadEquivalence) {
 }
 
 TEST(PostingFormatTest, SelectiveDetectMatchesUnprunedResults) {
-  // The same skewed log under both formats: the pruned v2 join must return
-  // exactly what the v1 full-scan join returns.
+  // The same skewed log folded into small blocks and into one block per
+  // pair: the pruned join must return exactly what the join that cannot
+  // skip any block returns.
   EventLog log = SkewedLog(256);
-  auto build = [&log](uint32_t format, std::unique_ptr<storage::Database>* db)
+  auto build = [&log](size_t block_bytes,
+                      std::unique_ptr<storage::Database>* db)
       -> std::unique_ptr<SequenceIndex> {
     *db = InMemoryDb();
     IndexOptions options;
     options.num_threads = 1;
-    options.posting_format = format;
-    options.posting_block_bytes = 64;
+    options.posting_block_bytes = block_bytes;
     auto index = SequenceIndex::Open(db->get(), options);
     EXPECT_TRUE(index.ok());
     EXPECT_TRUE((*index)->Update(log).ok());
+    EXPECT_TRUE((*index)->FoldPostings().ok());
     return std::move(index).value();
   };
   std::unique_ptr<storage::Database> db1, db2;
-  auto v1 = build(kPostingFormatFlat, &db1);
-  auto v2 = build(kPostingFormatBlocked, &db2);
-  ASSERT_TRUE(v2->FoldPostings().ok());
+  auto unpruned = build(size_t{1} << 40, &db1);
+  auto v2 = build(64, &db2);
 
-  query::QueryProcessor qp1(v1.get());
+  query::QueryProcessor qp1(unpruned.get());
   query::QueryProcessor qp2(v2.get());
-  eventlog::ActivityId r = v1->dictionary().Lookup("R");
-  eventlog::ActivityId a = v1->dictionary().Lookup("A");
-  eventlog::ActivityId b = v1->dictionary().Lookup("B");
+  eventlog::ActivityId r = v2->dictionary().Lookup("R");
+  eventlog::ActivityId a = v2->dictionary().Lookup("A");
+  eventlog::ActivityId b = v2->dictionary().Lookup("B");
   for (const query::Pattern& pattern :
        {query::Pattern({r, a, b}), query::Pattern({a, b, a}),
         query::Pattern({a, b, a, b})}) {
@@ -445,82 +478,9 @@ TEST(PostingFormatTest, SelectiveDetectMatchesUnprunedResults) {
     EXPECT_EQ(*lhs, *rhs);
   }
   // The rare-anchored pattern must actually have skipped blocks of the
-  // hot (A,B) list.
+  // hot (A,B) list, and the reference none.
   EXPECT_GT(v2->read_stats().blocks_skipped, 0u);
-}
-
-TEST(PostingFormatTest, V1IndexUpgradesAcrossReopen) {
-  namespace fs = std::filesystem;
-  auto dir = fs::temp_directory_path() /
-             ("seqdet_posting_fmt_test_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  EventLog log = SkewedLog(64);
-  std::vector<PairOccurrence> before;
-  EventTypePair pair;
-
-  {
-    // Write with the legacy flat format.
-    auto db = storage::Database::Open(dir.string());
-    ASSERT_TRUE(db.ok());
-    IndexOptions options = SingleThreaded();
-    options.posting_format = kPostingFormatFlat;
-    auto index = SequenceIndex::Open(db->get(), options);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->Update(log).ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatFlat);
-    pair = EventTypePair{(*index)->dictionary().Lookup("A"),
-                         (*index)->dictionary().Lookup("B")};
-    auto postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    before = *postings;
-    ASSERT_FALSE(before.empty());
-    ASSERT_TRUE((*index)->Flush().ok());
-  }
-  {
-    // Reopen with default options: persisted format wins, reads stay v1.
-    auto db = storage::Database::Open(dir.string());
-    ASSERT_TRUE(db.ok());
-    auto index = SequenceIndex::Open(db->get(), SingleThreaded());
-    ASSERT_TRUE(index.ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatFlat);
-    auto postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(*postings, before);
-
-    // Upgrade in place.
-    ASSERT_TRUE((*index)->FoldPostings().ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatBlocked);
-    postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(*postings, before);
-    auto report = (*index)->CheckConsistency();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->ok()) << report->violations.front();
-    ASSERT_TRUE((*index)->Flush().ok());
-  }
-  {
-    // Post-upgrade reopen reads blocked values and appends mini-blocks.
-    auto db = storage::Database::Open(dir.string());
-    ASSERT_TRUE(db.ok());
-    auto index = SequenceIndex::Open(db->get(), SingleThreaded());
-    ASSERT_TRUE(index.ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatBlocked);
-    auto postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(*postings, before);
-
-    EventLog more;
-    more.Append(9001, "A", 1);
-    more.Append(9001, "B", 2);
-    ASSERT_TRUE((*index)->Update(more).ok());
-    postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(postings->size(), before.size() + 1);
-    auto report = (*index)->CheckConsistency();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->ok()) << report->violations.front();
-  }
-  fs::remove_all(dir);
+  EXPECT_EQ(unpruned->read_stats().blocks_skipped, 0u);
 }
 
 // ---------------------------------------------------------------------------

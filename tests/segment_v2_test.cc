@@ -1,10 +1,11 @@
-// SDSEG2 format tests: v1/v2 read compatibility, mmap vs buffered reader
-// equivalence, block codec ids (the retired posting codec rejected), bit
-// packing, and corruption fuzzing (every damage must surface as
-// Status::Corruption, never as a crash or wrong data).
+// SDSEG2 format tests: round trips, mmap vs buffered reader equivalence,
+// retired formats (SDSEG1 files and the retired posting codec) refused
+// cleanly, bit packing, and corruption fuzzing (every damage must surface
+// as Status::Corruption, never as a crash or wrong data).
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/strings.h"
+#include "storage/database.h"
 #include "storage/segment.h"
 #include "storage/segment_codec.h"
 
@@ -89,38 +91,26 @@ void ExpectReadsAllEntries(
   auto miss = segment.Find("zzz-not-there");
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(*miss, nullptr);
+  // LowerBound agrees with a lower_bound over the entries for keys on,
+  // between and past block fences.
+  for (const std::string probe :
+       {"key000000", "key000100x", "key001999", "zzz", "a"}) {
+    auto bound = segment.LowerBound(probe);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    auto expected = std::lower_bound(
+        entries.begin(), entries.end(), probe,
+        [](const auto& e, const std::string& k) { return e.first < k; });
+    EXPECT_EQ(*bound, static_cast<size_t>(expected - entries.begin()))
+        << probe;
+  }
 }
 
 TEST(SegmentV2Test, RoundTripManyBlocks) {
   auto entries = MakeEntries(2000);
   auto segment = Segment::FromBuffer(BuildSegment(entries, {}));
   ASSERT_TRUE(segment.ok()) << segment.status();
-  EXPECT_EQ((*segment)->format(), 2u);
   EXPECT_GT((*segment)->stats().num_blocks, 1u);
   ExpectReadsAllEntries(**segment, entries);
-}
-
-TEST(SegmentV2Test, V1AndV2ReadTheSameEntries) {
-  auto entries = MakeEntries(500);
-  SegmentWriteOptions v1;
-  v1.format_version = 1;
-  auto s1 = Segment::FromBuffer(BuildSegment(entries, v1));
-  auto s2 = Segment::FromBuffer(BuildSegment(entries, {}));
-  ASSERT_TRUE(s1.ok()) << s1.status();
-  ASSERT_TRUE(s2.ok()) << s2.status();
-  EXPECT_EQ((*s1)->format(), 1u);
-  EXPECT_EQ((*s2)->format(), 2u);
-  ExpectReadsAllEntries(**s1, entries);
-  ExpectReadsAllEntries(**s2, entries);
-  // The v2 LowerBound must agree with v1 for keys on, between and past
-  // block fences.
-  for (const std::string probe :
-       {"key000000", "key000100x", "key001999", "zzz", "a"}) {
-    auto l1 = (*s1)->LowerBound(probe);
-    auto l2 = (*s2)->LowerBound(probe);
-    ASSERT_TRUE(l1.ok() && l2.ok());
-    EXPECT_EQ(*l1, *l2) << probe;
-  }
 }
 
 TEST(SegmentV2Test, MmapLoadMatchesBufferedParse) {
@@ -152,7 +142,6 @@ TEST(SegmentV2Test, EmptySegmentIsValid) {
   auto segment = Segment::FromBuffer(builder.Finish());
   ASSERT_TRUE(segment.ok()) << segment.status();
   EXPECT_EQ((*segment)->size(), 0u);
-  EXPECT_EQ((*segment)->format(), 2u);
   auto miss = (*segment)->Find("anything");
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(*miss, nullptr);
@@ -267,6 +256,38 @@ TEST(SegmentCodecTest, RetiredPostingCodecFailsCleanly) {
   EXPECT_NE(segment.status().ToString().find("retired codec"),
             std::string::npos)
       << segment.status();
+}
+
+// The flat SDSEG1 layout (magic, entries, fixed64 count, fixed32 crc of
+// everything before the count) is retired: a file in it is refused with
+// Unsupported and a rebuild hint, by the file loader, the buffer parser and
+// a database open that finds it in a table directory.
+TEST(SegmentV2Test, RetiredSdseg1FileIsUnsupported) {
+  std::string v1 = "SDSEG1";
+  const uint32_t crc = Crc32(v1);
+  PutFixed64(&v1, 0);
+  PutFixed32(&v1, crc);
+
+  auto from_buffer = Segment::FromBuffer(v1);
+  ASSERT_FALSE(from_buffer.ok());
+  EXPECT_TRUE(from_buffer.status().IsUnsupported()) << from_buffer.status();
+  EXPECT_NE(from_buffer.status().message().find("rebuild"), std::string::npos)
+      << from_buffer.status();
+
+  TempDir dir;
+  const std::string path = dir.str() + "/t.000001.seg";
+  ASSERT_TRUE(WriteFileAtomic(path, v1).ok());
+  auto loaded = Segment::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsUnsupported()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+      << loaded.status();
+
+  auto db = storage::Database::Open(dir.str());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsUnsupported()) << db.status();
+  EXPECT_NE(db.status().message().find("rebuild"), std::string::npos)
+      << db.status();
 }
 
 // ---------------------------------------------------------------------------

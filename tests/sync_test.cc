@@ -85,16 +85,20 @@ TEST(SharedMutexTest, ReadersShareWritersExclude) {
 
   std::vector<std::thread> readers;
   readers.reserve(4);
+  // Each reader reads at least once (do-while), and the writer starts only
+  // after some read has happened, so reads overlap the writes whatever the
+  // schedule: `reads > 0` below checks the lock, not the scheduler.
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
+      do {
         ReaderLock lock(mu);
         if (a != b) tears.fetch_add(1);
         reads.fetch_add(1);
-      }
+      } while (!stop.load(std::memory_order_acquire));
     });
   }
   std::thread writer([&] {
+    while (reads.load() == 0) std::this_thread::yield();
     for (int i = 1; i <= 5000; ++i) {
       WriterLock lock(mu);
       a = i;

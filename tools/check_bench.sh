@@ -5,20 +5,31 @@
 # than the tolerance (default 20%) against the baseline — lower speedup or
 # higher query time.
 #
-# Wall-clock numbers on a loaded single-core box are noisy, so each bench
-# runs SEQDET_BENCH_RUNS times (default 3) and the most favorable value per
+# Wall-clock numbers on a shared box are noisy, so each bench runs
+# SEQDET_BENCH_RUNS times (default 3) and the most favorable value per
 # field (min ms, max speedup) is compared: transient scheduler noise should
-# not fail the gate, while a real regression shows up in every run.
+# not fail the gate, while a real regression shows up in every run. The
+# baselines are absolute times from the box that recorded them: each bench
+# stamps its output with hardware_concurrency, cpu_model and commit, and
+# the gate prints the fresh stamp next to the baseline's so a miss on
+# other hardware reads as such.
 #
 # Usage: tools/check_bench.sh [build-dir]     (default: build)
 # Env:   SEQDET_BENCH_RUNS       repetitions of each bench binary (3)
 #        SEQDET_BENCH_TOLERANCE  allowed fractional regression (0.20)
+#        SEQDET_BENCH_COMMIT     commit stamped into fresh outputs
+#                                (default: git rev-parse --short HEAD)
 set -euo pipefail
 
 REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-${REPO_DIR}/build}"
 RUNS="${SEQDET_BENCH_RUNS:-3}"
 TOLERANCE="${SEQDET_BENCH_TOLERANCE:-0.20}"
+if [[ -z "${SEQDET_BENCH_COMMIT:-}" ]]; then
+  SEQDET_BENCH_COMMIT="$(git -C "${REPO_DIR}" rev-parse --short HEAD \
+    2>/dev/null || echo unknown)"
+fi
+export SEQDET_BENCH_COMMIT
 
 if ! command -v python3 >/dev/null 2>&1; then
   echo "check_bench: python3 not found; skipping bench gate" >&2
@@ -69,6 +80,17 @@ import sys
 baseline_path, tolerance, run_paths = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
 baseline = json.load(open(baseline_path))
 runs = [json.load(open(p)) for p in run_paths]
+
+
+def stamp(result):
+    if "cpu_model" not in result:
+        return "unstamped"
+    return (f"{result.get('hardware_concurrency', '?')} threads, "
+            f"{result['cpu_model']}, commit {result.get('commit', '?')}")
+
+
+print(f"  baseline: {stamp(baseline)}")
+print(f"  fresh:    {stamp(runs[0])}")
 
 
 def walk(node, path):

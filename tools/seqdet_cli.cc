@@ -176,7 +176,7 @@ int Usage() {
       "           JSON response verbatim\n"
       "  prune    --db=<dir> --trace=<id>\n"
       "  fold     --db=<dir>   maintenance: fold statistics deltas and\n"
-      "           rewrite posting lists as sorted v3 blocks (v1 upgrade)\n"
+      "           rewrite posting lists as globally sorted blocks\n"
       "  check    --db=<dir>   fsck: verify cross-table invariants\n"
       "datasets: ");
   for (const auto& name : datagen::DatasetNames()) {
@@ -326,18 +326,17 @@ int CmdInfo(const Args& args) {
   std::printf("policy:     %s\n", index::PolicyName((*index)->options().policy));
   std::printf("periods:    %zu\n", (*index)->num_periods());
   std::printf("activities: %zu\n", (*index)->dictionary().size());
-  std::printf("postings:   format v%u\n", (*index)->posting_format());
-  std::printf("segments:   format v%u\n", (*db)->segment_format());
+  std::printf("postings:   format v%u\n", index::kPostingFormatBlocked);
+  std::printf("segments:   format v2\n");
   storage::TableSegmentStats seg = (*db)->GetSegmentStats();
   if (seg.num_segments > 0) {
     double ratio = seg.disk_bytes > 0
                        ? static_cast<double>(seg.logical_bytes) /
                              static_cast<double>(seg.disk_bytes)
                        : 0.0;
-    std::printf("  %zu segment files (%zu v1, %zu v2), %zu blocks, "
+    std::printf("  %zu segment files, %zu blocks, "
                 "%llu bytes on disk for %llu logical (%.2fx)\n",
-                seg.num_segments, seg.v1_segments, seg.v2_segments,
-                seg.num_blocks,
+                seg.num_segments, seg.num_blocks,
                 static_cast<unsigned long long>(seg.disk_bytes),
                 static_cast<unsigned long long>(seg.logical_bytes), ratio);
   }
@@ -815,7 +814,7 @@ int CmdFold(const Args& args) {
   if (!flush.ok()) return Fail(flush);
   std::printf(
       "folded statistics deltas and posting lists (format v%u) in %.2fs\n",
-      (*index)->posting_format(), watch.ElapsedSeconds());
+      index::kPostingFormatBlocked, watch.ElapsedSeconds());
   return 0;
 }
 
